@@ -88,7 +88,19 @@ def _load_config(path: str) -> dict:
     return defaults
 
 
-_in_path = click.Path(exists=True, dir_okay=False)
+class _InputFile(click.Path):
+    """An input file, opened once while the arguments are parsed: a missing
+    or unreadable file raises OSError, so ``main`` exits with EXIT_IO before
+    any command checks its other arguments."""
+
+    def convert(self, value, param, ctx):
+        path = super().convert(value, param, ctx)
+        with open(path, "rb"):
+            pass
+        return path
+
+
+_in_path = _InputFile(dir_okay=False)
 _out_dir = click.Path(file_okay=False)
 
 

@@ -64,6 +64,8 @@ def parse_timestamp(text: str) -> int:
         raise ValueError(f"timestamp {text!r} has no UTC designator")
     if dt.utcoffset() != timedelta(0):
         raise ValueError(f"timestamp {text!r} is not UTC")
+    if dt.microsecond:
+        raise ValueError(f"timestamp {text!r} has fractional seconds")
     return int(dt.timestamp())
 
 

@@ -278,32 +278,6 @@ class BacktestDiagnostics:
     zero_price_skips: int = 0
 
 
-class _QuoteBook:
-    """Per-instrument quote index for entry/exit lookup."""
-
-    def __init__(self, quotes: QuoteSeries):
-        self.by_instrument: dict[tuple[float, int], tuple[np.ndarray, np.ndarray]] = {}
-        keys = list(zip(quotes.strikes.tolist(), quotes.expiries.tolist()))
-        order: dict[tuple[float, int], list[int]] = {}
-        for i, key in enumerate(keys):
-            order.setdefault(key, []).append(i)
-        for key, idx in order.items():
-            idx_arr = np.asarray(idx, dtype=np.int64)
-            times = quotes.quote_times[idx_arr]  # already time-sorted
-            self.by_instrument[key] = (times, idx_arr)
-        self.quotes = quotes
-
-    def instruments(self) -> list[tuple[float, int]]:
-        return sorted(self.by_instrument)
-
-    def first_at_or_after(self, key, epoch: int, tolerance_s: int) -> OptionQuote | None:
-        times, idx = self.by_instrument[key]
-        i = int(np.searchsorted(times, epoch))
-        if i >= len(times) or times[i] > epoch + tolerance_s:
-            return None
-        return self.quotes[int(idx[i])]
-
-
 def select_percentile_hours(net_series: NetInflowSeries, pct: float,
                             leg: str) -> np.ndarray:
     """Timestamps whose net inflow lies in the requested percentile leg."""
@@ -332,37 +306,62 @@ def run_percentile_backtest(net_series: NetInflowSeries, quotes: QuoteSeries,
                             ) -> tuple[dict[BucketKey, BucketStats], BacktestDiagnostics]:
     """Open one trade per instrument on each selected hour; aggregate by bucket.
 
-    Entries take the first quote at or after the event hour within the
-    tolerance; exits take the first quote at or after entry + holding,
-    with the same tolerance. Events without a usable quote are skipped
-    and counted in the diagnostics.
+    Instruments are (strike, expiry) pairs, compared exactly. An entry is the
+    first quote of an instrument in [event, event + tolerance], its exit the
+    first of the same instrument in [entry + holding, entry + holding +
+    tolerance]. Diagnostics count, in this order, (event, instrument) pairs
+    without an entry, entries without an exit and entries priced at or below 0.
+    Cost: sorts of the time-sorted ``quotes`` by instrument plus searches,
+    linear in the quotes inside the entry windows, not events x instruments.
     """
     if len(quotes) == 0:
         raise NoMatchingQuotes("no option quotes supplied")
-    book = _QuoteBook(quotes)
     tol_s = int(entry_tolerance.total_seconds())
     hold_s = int(holding.total_seconds())
     if hold_s <= 0:
         raise InvalidConfig("holding horizon must be positive")
+    qt = quotes.quote_times
+    if (np.diff(qt) < 0).any():
+        raise InvalidConfig("option quotes must be sorted by quote_time")
 
-    diag = BacktestDiagnostics()
-    trades: list[TradeOutcome] = []
-    for event_ts in select_percentile_hours(net_series, pct, leg):
-        diag.events += 1
-        for key in book.instruments():
-            entry = book.first_at_or_after(key, int(event_ts), tol_s)
-            if entry is None:
-                diag.unmatched_entries += 1
-                continue
-            entry_epoch = int(entry.quote_time.timestamp())
-            exit_q = book.first_at_or_after(key, entry_epoch + hold_s, tol_s)
-            if exit_q is None or exit_q.quote_time <= entry.quote_time:
-                diag.unmatched_exits += 1
-                continue
-            if call_price(entry) <= 0:
-                diag.zero_price_skips += 1
-                continue
-            trades.append(trade(entry, exit_q, side, costs=costs))
+    # Instrument id of every quote, numbered in (strike, expiry) order. The
+    # sort is stable, so each instrument's quotes stay in time order.
+    by_inst = np.lexsort((quotes.expiries, quotes.strikes))
+    strikes, expiries = quotes.strikes[by_inst], quotes.expiries[by_inst]
+    changes = (strikes[1:] != strikes[:-1]) | (expiries[1:] != expiries[:-1])
+    inst_by = np.concatenate(([0], np.cumsum(changes)))
+    inst = np.empty_like(inst_by)
+    inst[by_inst] = inst_by
+    n_inst = int(inst_by[-1]) + 1
+
+    # Entries: the first quote per (event, instrument) in [event, event + tol].
+    events = select_percentile_hours(net_series, pct, leg)
+    lo = np.searchsorted(qt, events, side="left")
+    width = np.maximum(np.searchsorted(qt, events + tol_s, side="right") - lo, 0)
+    ev = np.repeat(np.arange(len(events)), width)
+    in_window = np.arange(len(ev)) - np.repeat(np.cumsum(width) - width - lo, width)
+    _, first = np.unique(ev * n_inst + inst[in_window], return_index=True)
+    entry = in_window[first]
+
+    # Exits: one search over (instrument, time rank) keys, which ascend in
+    # by_inst order; a time rank, unlike a packed epoch, cannot overflow.
+    times, rank = np.unique(qt, return_inverse=True)
+    stride = len(times) + 1
+    keys = inst_by * stride + rank[by_inst]
+    target = qt[entry] + hold_s
+    pos = np.searchsorted(keys, inst[entry] * stride + np.searchsorted(times, target))
+    exit_ = by_inst[np.minimum(pos, len(qt) - 1)]
+    has_exit = ((pos < len(qt)) & (inst[exit_] == inst[entry])
+                & (qt[exit_] <= target + tol_s))
+    premium = quotes.option_prices[entry] * quotes.index_prices[entry]
+    zero_price = has_exit & (premium <= 0)
+    keep = has_exit & ~zero_price
+
+    diag = BacktestDiagnostics(
+        events=len(events), unmatched_entries=len(events) * n_inst - len(entry),
+        unmatched_exits=int((~has_exit).sum()), zero_price_skips=int(zero_price.sum()))
+    trades = [trade(quotes[i], quotes[j], side, costs=costs)
+              for i, j in zip(entry[keep].tolist(), exit_[keep].tolist())]
     diag.trades = len(trades)
     if diag.events and not trades:
         logger.warning("percentile backtest produced no trades "

@@ -1,9 +1,21 @@
+import tempfile
 from datetime import datetime, timedelta, timezone
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from flowcast.ingest import Asset, BarSeries, FlowSeries, OptionQuote
+
+# Fixed example order and no example database, so a run is repeatable; no
+# deadline, since the first example of a test pays for numpy's warm-up.
+# Hypothesis still caches the constants it scans from source files, so its
+# home moves to the temp directory and no .hypothesis/ lands in the tree.
+settings.register_profile("flowcast", derandomize=True, database=None, deadline=None)
+settings.load_profile("flowcast")
+set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "flowcast-hypothesis")
 
 # Epoch-hour origin used across tests: 2021-01-07T00:00:00Z, a multiple of
 # 168h so every horizon grid starts on the first sample.

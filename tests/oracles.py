@@ -2,13 +2,24 @@
 
 Everything here is deliberately written the slow, obvious way, without
 reusing any code path from the package under test: explicit loops,
-explicit Gaussian elimination, numeric quadrature.
+explicit Gaussian elimination, numeric quadrature. The one exception is
+``reference_backtest``, which re-implements only the quote lookup and
+shares the trade accounting and the bucket aggregation with the package.
 """
 
 import math
 
 import numpy as np
 from scipy.integrate import quad
+
+from flowcast.options import (
+    WTL_COUNTS,
+    BacktestDiagnostics,
+    bucket_stats,
+    call_price,
+    select_percentile_hours,
+    trade,
+)
 
 
 def bucket_sums(timestamps, nets_musd, horizon_s):
@@ -160,3 +171,48 @@ def call_value_quad(index, strike, years, sigma):
         return max(terminal - strike, 0.0) * normal_density(z)
     value, _ = quad(payoff, -12.0, 12.0, limit=200)
     return value
+
+
+def reference_backtest(net_series, quotes, pct, leg, side, costs, buckets,
+                       holding_s=3600, tolerance_s=1800, wtl_mode=WTL_COUNTS):
+    """Percentile backtest that probes every instrument on every event.
+
+    For each selected hour and each (strike, expiry) in sorted order, the
+    entry is the instrument's first quote in [event, event + tolerance] and
+    the exit its first quote in [entry + holding, entry + holding +
+    tolerance], both found by a linear scan of the instrument's quotes.
+    Returns the bucket stats and the diagnostics, like
+    ``run_percentile_backtest``.
+    """
+    by_instrument = {}
+    for i in range(len(quotes)):  # quotes are time-sorted
+        key = (float(quotes.strikes[i]), int(quotes.expiries[i]))
+        by_instrument.setdefault(key, []).append(i)
+
+    def first_at_or_after(key, epoch):
+        for i in by_instrument[key]:
+            t = int(quotes.quote_times[i])
+            if t >= epoch:
+                return i if t <= epoch + tolerance_s else None
+        return None
+
+    diag = BacktestDiagnostics()
+    trades = []
+    for event in select_percentile_hours(net_series, pct, leg).tolist():
+        diag.events += 1
+        for key in sorted(by_instrument):
+            i = first_at_or_after(key, event)
+            if i is None:
+                diag.unmatched_entries += 1
+                continue
+            j = first_at_or_after(key, int(quotes.quote_times[i]) + holding_s)
+            if j is None or quotes.quote_times[j] <= quotes.quote_times[i]:
+                diag.unmatched_exits += 1
+                continue
+            entry = quotes[i]
+            if call_price(entry) <= 0:
+                diag.zero_price_skips += 1
+                continue
+            trades.append(trade(entry, quotes[j], side, costs=costs))
+    diag.trades = len(trades)
+    return {key: bucket_stats(trades, key, wtl_mode=wtl_mode) for key in buckets}, diag

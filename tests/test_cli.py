@@ -117,7 +117,7 @@ def test_regress_missing_bars_path(dataset, tmp_path, capsys):
     code = main(["regress", "--flows", str(dataset / "flows.csv"),
                  "--bars-eth", str(missing),
                  "--out", str(tmp_path / "g")])
-    assert code == 2
+    assert code == 1
     err = capsys.readouterr().err
     assert "bars.csv" in err
 

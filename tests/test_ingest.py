@@ -85,6 +85,7 @@ def test_parse_flows_order_insensitive(tmp_path, rng):
     "2022-05-12 12:00,ETH,1,0",             # bad timestamp
     "2022-05-12T12:00:00Z,ETH,abc,0",       # bad number
     "2022-05-12T12:00:00Z,ETH,1",           # missing field
+    "2022-05-12T12:00:00.7Z,ETH,1,0",       # fractional seconds
 ])
 def test_parse_flows_malformed_rows_report_line(tmp_path, row):
     p = write(tmp_path, "flows.csv", FLOWS_HEADER + row + "\n")
