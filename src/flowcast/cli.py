@@ -233,7 +233,7 @@ def cmd_events(flows, asset, k, years, most_negative, bars, bar_frequency_minute
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write(out_dir / "events.csv", events_mod.events_to_csv(hits))
-    hit_years = np.array([t.year for t, _ in hourly.points])
+    hit_years = events_mod.utc_years(hourly.timestamps)
     for year in sorted({h.year for h in hits}):
         n = int((hit_years == year).sum())
         pct = events_mod.threshold_percentile(k, n)

@@ -8,17 +8,18 @@ track with the hourly close-price track.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 
 import numpy as np
 
 from .errors import EmptyYear, FrequencyMismatch, InsufficientCoverage
-from .ingest import Asset, BarSeries, FlowSeries, format_number, format_timestamp, to_datetime
+from .ingest import (ASSET, INTEGER, NUMBER, TIMESTAMP, Asset, BarSeries, FlowSeries,
+                     format_timestamp, to_datetime, write_table)
 from .series import HOUR, NetInflowSeries, net_inflows
 
-EVENTS_HEADER = ["asset", "timestamp", "net_inflow_musd", "year", "rank"]
+EVENTS_COLUMNS = (("asset", ASSET), ("timestamp", TIMESTAMP), ("net_inflow_musd", NUMBER),
+                  ("year", INTEGER), ("rank", INTEGER))
 
 
 @dataclass(frozen=True)
@@ -50,6 +51,12 @@ def threshold_percentile(k: int, observations: int) -> float:
     return 1.0 - k / observations
 
 
+def utc_years(epochs: np.ndarray) -> np.ndarray:
+    """UTC calendar year of each epoch second."""
+    instants = np.asarray(epochs, dtype=np.int64).astype("datetime64[s]")
+    return instants.astype("datetime64[Y]").astype(np.int64) + 1970
+
+
 def detect_extremes(series: NetInflowSeries, k: int,
                     years: set[int] | None = None,
                     most_negative: bool = False) -> list[EventHit]:
@@ -64,7 +71,7 @@ def detect_extremes(series: NetInflowSeries, k: int,
         raise FrequencyMismatch(f"extreme detection runs on 1h series, got {series.horizon}")
     ts = series.timestamps
     vals = series.values
-    years_of = np.array([to_datetime(t).year for t in ts], dtype=np.int64)
+    years_of = utc_years(ts)
     present = set(years_of.tolist())
     wanted = sorted(present) if years is None else sorted(years)
     hits: list[EventHit] = []
@@ -121,22 +128,18 @@ def extract_window(event: EventHit, flows: FlowSeries, bars: BarSeries,
 
 
 def events_to_csv(hits: list[EventHit]) -> str:
-    buf = io.StringIO()
-    buf.write(",".join(EVENTS_HEADER) + "\n")
-    for h in hits:
-        buf.write(f"{h.asset.value},{format_timestamp(h.timestamp.timestamp())},"
-                  f"{format_number(h.net_inflow_musd)},{h.year},{h.rank_in_year}\n")
-    return buf.getvalue()
+    return write_table(EVENTS_COLUMNS, (
+        [h.asset.value for h in hits], [int(h.timestamp.timestamp()) for h in hits],
+        [h.net_inflow_musd for h in hits], [h.year for h in hits],
+        [h.rank_in_year for h in hits]))
+
+
+def _track_csv(name: str, track: list[tuple[datetime, float]]) -> str:
+    return write_table((("timestamp", TIMESTAMP), (name, NUMBER)),
+                       ([int(t.timestamp()) for t, _ in track], [v for _, v in track]))
 
 
 def window_track_csvs(window: CaseWindow) -> tuple[str, str]:
     """(flow track CSV, price track CSV) for external plotting."""
-    flows = io.StringIO()
-    flows.write("timestamp,net_inflow_musd\n")
-    for t, v in window.flow_track:
-        flows.write(f"{format_timestamp(t.timestamp())},{format_number(v)}\n")
-    prices = io.StringIO()
-    prices.write("timestamp,close\n")
-    for t, v in window.price_track:
-        prices.write(f"{format_timestamp(t.timestamp())},{format_number(v)}\n")
-    return flows.getvalue(), prices.getvalue()
+    return (_track_csv("net_inflow_musd", window.flow_track),
+            _track_csv("close", window.price_track))

@@ -1,27 +1,32 @@
 """CSV ingestion: exchange flows, price bars, and call-option quotes.
 
-All three readers validate against a fixed header, reject malformed rows
-with a line number, and return columnar, immutable, canonically sorted
-containers. Timestamps are ISO-8601 UTC only. Matching writers emit the
-canonical text form, so ``write(parse(f))`` is a fixed point for
-well-formed files.
+One table codec reads and writes every file. A schema gives each file's
+header, a converter per column, a check on each converted row, and a key.
+The reader reports a malformed row's first fault in column order with its
+line number, and returns columnar, immutable containers stably sorted by
+the key; two rows with one key are rejected. Timestamps are ISO-8601 UTC
+only. The writer emits the canonical text, so ``write(parse(f))`` is a
+fixed point for well-formed files: comma-joined lines ending in ``\\n``,
+timestamps as ``YYYY-MM-DDTHH:MM:SSZ`` (four-digit year), floats as their
+shortest round-trip ``repr``, assets and integers as they are.
 
-Schemas (RFC 4180, UTF-8, header required):
+Schemas (RFC 4180, UTF-8, header required) and the key unique in each:
 
-    flows.csv    timestamp,asset,inflow_usd,outflow_usd
-    bars.csv     timestamp,open,high,low,close
+    flows.csv    timestamp,asset,inflow_usd,outflow_usd  (asset, timestamp)
+    bars.csv     timestamp,open,high,low,close           timestamp
     options.csv  quote_time,strike,expiry,option_price,index_price,implied_vol,delta
+                 (quote_time, strike, expiry)
 """
 
 from __future__ import annotations
 
 import csv
 import enum
-import io
+import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -34,15 +39,6 @@ from .errors import (
     NegativeFlow,
     NonPositivePrice,
 )
-
-FLOWS_HEADER = ["timestamp", "asset", "inflow_usd", "outflow_usd"]
-BARS_HEADER = ["timestamp", "open", "high", "low", "close"]
-OPTIONS_HEADER = [
-    "quote_time", "strike", "expiry", "option_price",
-    "index_price", "implied_vol", "delta",
-]
-
-_TS_FORMAT = "%Y-%m-%dT%H:%M:%SZ"
 
 
 class Asset(str, enum.Enum):
@@ -70,7 +66,7 @@ def parse_timestamp(text: str) -> int:
 
 
 def format_timestamp(epoch: int | float) -> str:
-    return datetime.fromtimestamp(int(epoch), tz=timezone.utc).strftime(_TS_FORMAT)
+    return _timestamp_text(np.array([int(epoch)], dtype=np.int64))[0]
 
 
 def to_datetime(epoch: int | float) -> datetime:
@@ -152,10 +148,6 @@ class FlowSeries(Sequence[FlowRecord]):
         return FlowRecord(to_datetime(self.timestamps[i]), Asset(self.assets[i]),
                           float(self.inflow_usd[i]), float(self.outflow_usd[i]))
 
-    def __iter__(self) -> Iterator[FlowRecord]:
-        for i in range(len(self)):
-            yield self[i]
-
     @property
     def net_usd(self) -> np.ndarray:
         return self.inflow_usd - self.outflow_usd
@@ -198,10 +190,6 @@ class BarSeries(Sequence[Bar]):
                    float(self.high[i]), float(self.low[i]), float(self.close[i]),
                    self.frequency)
 
-    def __iter__(self) -> Iterator[Bar]:
-        for i in range(len(self)):
-            yield self[i]
-
 
 class QuoteSeries(Sequence[OptionQuote]):
     """Option quotes sorted by quote_time, then (strike, expiry)."""
@@ -231,52 +219,160 @@ class QuoteSeries(Sequence[OptionQuote]):
                            float(self.index_prices[i]), float(self.implied_vols[i]),
                            float(self.deltas[i]))
 
-    def __iter__(self) -> Iterator[OptionQuote]:
-        for i in range(len(self)):
-            yield self[i]
-
 
 # ---------------------------------------------------------------------------
-# Parsers
+# Table codec: column kinds, schemas, the reader and the writer
 # ---------------------------------------------------------------------------
 
-def _read_rows(path: str | Path, expected_header: list[str]) -> list[tuple[int, list[str]]]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise MalformedRow(1, f"missing header; expected {','.join(expected_header)}")
-        if [h.strip() for h in header] != expected_header:
-            raise MalformedRow(1, f"bad header {header!r}; expected {','.join(expected_header)}")
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            rows.append((lineno, row))
-    return rows
+class Kind(NamedTuple):
+    """A column type: ``parse(field, name)`` raises ValueError on a bad field."""
+
+    parse: Callable[[str, str], object] | None
+    dtype: str
+    format: Callable[[np.ndarray], list[str]]
 
 
-def _field_count(lineno: int, row: list[str], n: int) -> None:
-    if len(row) != n:
-        raise MalformedRow(lineno, f"expected {n} fields, got {len(row)}")
-
-
-def _parse_float(lineno: int, text: str, name: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise MalformedRow(lineno, f"bad {name} {text!r}")
-    if not np.isfinite(value):
-        raise MalformedRow(lineno, f"non-finite {name} {text!r}")
-    return value
-
-
-def _parse_ts(lineno: int, text: str, name: str) -> int:
+def _parse_ts(text: str, name: str) -> int:
     try:
         return parse_timestamp(text)
     except ValueError as exc:
-        raise MalformedRow(lineno, f"bad {name}: {exc}")
+        raise ValueError(f"bad {name}: {exc}") from None
+
+
+def _parse_hour(text: str, name: str) -> int:
+    t = _parse_ts(text, name)
+    if t % 3600 != 0:
+        raise ValueError(f"{name} {text!r} is not hour-aligned")
+    return t
+
+
+def _parse_number(text: str, name: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise ValueError(f"bad {name} {text!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite {name} {text!r}")
+    return value
+
+
+def _parse_asset(text: str, name: str) -> str:
+    try:
+        return Asset(text.strip()).value
+    except ValueError:
+        raise ValueError(f"unknown {name} {text!r}") from None
+
+
+def _timestamp_text(col: np.ndarray) -> list[str]:
+    return np.datetime_as_string(col.astype("datetime64[s]"), unit="s",
+                                 timezone="UTC").tolist()
+
+
+TIMESTAMP = Kind(_parse_ts, "int64", _timestamp_text)
+HOUR = Kind(_parse_hour, "int64", _timestamp_text)
+NUMBER = Kind(_parse_number, "float64", lambda col: list(map(format_number, col.tolist())))
+ASSET = Kind(_parse_asset, "U4", np.ndarray.tolist)
+INTEGER = Kind(None, "int64", lambda col: list(map(str, col.tolist())))  # written only
+
+
+class Schema(NamedTuple):
+    """An input file's columns, its row ``check(lineno, fields, values)``, its
+    ``key`` column indices (most significant first) and ``duplicate`` error."""
+
+    columns: tuple[tuple[str, Kind], ...]
+    check: Callable[[int, list[str], list], None]
+    key: tuple[int, ...]
+    duplicate: Callable[[str], Exception]
+
+
+def _check_flow(lineno: int, fields: list[str], values: list) -> None:
+    if values[2] < 0 or values[3] < 0:
+        raise NegativeFlow(f"line {lineno}: negative flow ({fields[2]}, {fields[3]})")
+
+
+def _check_bar(lineno: int, fields: list[str], values: list) -> None:
+    _, o, h, l, c = values
+    if min(o, h, l, c) <= 0:
+        raise NonPositivePrice(f"line {lineno}: non-positive price")
+    if l > min(o, c) or h < max(o, c):
+        raise MalformedRow(lineno, f"OHLC out of order ({o}, {h}, {l}, {c})")
+
+
+def _check_quote(lineno: int, fields: list[str], values: list) -> None:
+    quote_time, strike, expiry, option_price, index_price, implied_vol, delta = values
+    if strike <= 0 or index_price <= 0:
+        raise MalformedRow(lineno, "strike and index_price must be positive")
+    if option_price < 0 or implied_vol < 0:
+        raise MalformedRow(lineno, "option_price and implied_vol must be >= 0")
+    if expiry <= quote_time:
+        raise ExpiredAtQuote(
+            f"line {lineno}: expiry {fields[2]} at/before quote_time {fields[0]}")
+    if not (0.0 <= delta <= 1.0):
+        raise DeltaOutOfRange(f"line {lineno}: call delta {delta} outside [0, 1]")
+
+
+FLOWS = Schema(
+    columns=(("timestamp", HOUR), ("asset", ASSET),
+             ("inflow_usd", NUMBER), ("outflow_usd", NUMBER)),
+    check=_check_flow, key=(1, 0),
+    duplicate=lambda key: DuplicateTimestamp(f"duplicate ({key})"))
+BARS = Schema(
+    columns=(("timestamp", TIMESTAMP), ("open", NUMBER), ("high", NUMBER),
+             ("low", NUMBER), ("close", NUMBER)),
+    check=_check_bar, key=(0,),
+    duplicate=lambda key: FrequencyMismatch(f"duplicate bar timestamp {key}"))
+OPTIONS = Schema(
+    columns=(("quote_time", TIMESTAMP), ("strike", NUMBER), ("expiry", TIMESTAMP),
+             ("option_price", NUMBER), ("index_price", NUMBER),
+             ("implied_vol", NUMBER), ("delta", NUMBER)),
+    check=_check_quote, key=(0, 1, 2),
+    duplicate=lambda key: DuplicateTimestamp(f"duplicate quote ({key})"))
+
+
+def read_table(path: str | Path, schema: Schema) -> list[np.ndarray]:
+    """Parse and check one CSV file; its columns, stably sorted by the key."""
+    header = [name for name, _ in schema.columns]
+    rows = []
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        first = next(reader, None)
+        if first is None:
+            raise MalformedRow(1, f"missing header; expected {','.join(header)}")
+        if [h.strip() for h in first] != header:
+            raise MalformedRow(1, f"bad header {first!r}; expected {','.join(header)}")
+        for lineno, fields in enumerate(reader, start=2):
+            if not fields or (len(fields) == 1 and not fields[0].strip()):
+                continue
+            if len(fields) != len(header):
+                raise MalformedRow(lineno, f"expected {len(header)} fields, got {len(fields)}")
+            try:
+                values = [kind.parse(text, name)
+                          for (name, kind), text in zip(schema.columns, fields)]
+            except ValueError as exc:
+                raise MalformedRow(lineno, str(exc)) from None
+            schema.check(lineno, fields, values)
+            rows.append(values)
+    columns = [np.array(col, dtype=kind.dtype) for (_, kind), col
+               in zip(schema.columns, zip(*rows) if rows else [()] * len(header))]
+    order = np.lexsort([columns[j] for j in reversed(schema.key)])
+    columns = [col[order] for col in columns]
+    repeated = np.logical_and.reduce([columns[j][1:] == columns[j][:-1] for j in schema.key])
+    if repeated.any():
+        i = int(np.flatnonzero(repeated)[0])
+        raise schema.duplicate(", ".join(schema.columns[j][1].format(columns[j][i:i + 1])[0]
+                                         for j in schema.key))
+    return columns
+
+
+def write_table(columns: Sequence[tuple[str, Kind]], values: Sequence) -> str:
+    """Canonical CSV text of ``values``, one sequence per (name, kind) column."""
+    arrays = [np.asarray(col, dtype=kind.dtype) for (_, kind), col in zip(columns, values)]
+    text = [",".join(name for name, _ in columns) + "\n"]
+    step = 8192  # rows per pass: bounds the field strings alive at once
+    for i in range(0, len(arrays[0]), step):
+        fields = [kind.format(a[i:i + step]) for (_, kind), a in zip(columns, arrays)]
+        text.append("\n".join(map(",".join, zip(*fields))) + "\n")
+    return "".join(text)
 
 
 def parse_flows(path: str | Path) -> FlowSeries:
@@ -285,33 +381,7 @@ def parse_flows(path: str | Path) -> FlowSeries:
     Rejects negative flows, non-hour-aligned timestamps, and duplicate
     (asset, timestamp) pairs. Input row order is irrelevant.
     """
-    rows = _read_rows(path, FLOWS_HEADER)
-    ts = np.empty(len(rows), dtype=np.int64)
-    assets = np.empty(len(rows), dtype="U4")
-    inflow = np.empty(len(rows), dtype=np.float64)
-    outflow = np.empty(len(rows), dtype=np.float64)
-    for i, (lineno, row) in enumerate(rows):
-        _field_count(lineno, row, 4)
-        t = _parse_ts(lineno, row[0], "timestamp")
-        if t % 3600 != 0:
-            raise MalformedRow(lineno, f"timestamp {row[0]!r} is not hour-aligned")
-        try:
-            asset = Asset(row[1].strip())
-        except ValueError:
-            raise MalformedRow(lineno, f"unknown asset {row[1]!r}")
-        fin = _parse_float(lineno, row[2], "inflow_usd")
-        fout = _parse_float(lineno, row[3], "outflow_usd")
-        if fin < 0 or fout < 0:
-            raise NegativeFlow(f"line {lineno}: negative flow ({row[2]}, {row[3]})")
-        ts[i], assets[i], inflow[i], outflow[i] = t, asset.value, fin, fout
-    order = np.lexsort((ts, assets))
-    ts, assets, inflow, outflow = ts[order], assets[order], inflow[order], outflow[order]
-    dup = (assets[1:] == assets[:-1]) & (ts[1:] == ts[:-1])
-    if dup.any():
-        i = int(np.flatnonzero(dup)[0])
-        raise DuplicateTimestamp(
-            f"duplicate ({assets[i + 1]}, {format_timestamp(ts[i + 1])})")
-    return FlowSeries(ts, assets, inflow, outflow)
+    return FlowSeries(*read_table(path, FLOWS))
 
 
 def parse_bars(path: str | Path, frequency: timedelta,
@@ -324,24 +394,7 @@ def parse_bars(path: str | Path, frequency: timedelta,
     freq_s = int(frequency.total_seconds())
     if freq_s <= 0:
         raise FrequencyMismatch(f"non-positive frequency {frequency}")
-    rows = _read_rows(path, BARS_HEADER)
-    ts = np.empty(len(rows), dtype=np.int64)
-    cols = np.empty((len(rows), 4), dtype=np.float64)
-    for i, (lineno, row) in enumerate(rows):
-        _field_count(lineno, row, 5)
-        ts[i] = _parse_ts(lineno, row[0], "timestamp")
-        for j, name in enumerate(("open", "high", "low", "close")):
-            cols[i, j] = _parse_float(lineno, row[j + 1], name)
-        o, h, l, c = cols[i]
-        if min(o, h, l, c) <= 0:
-            raise NonPositivePrice(f"line {lineno}: non-positive price")
-        if l > min(o, c) or h < max(o, c):
-            raise MalformedRow(lineno, f"OHLC out of order ({o}, {h}, {l}, {c})")
-    order = np.argsort(ts, kind="stable")
-    ts, cols = ts[order], cols[order]
-    if len(ts) > 1 and (np.diff(ts) == 0).any():
-        i = int(np.flatnonzero(np.diff(ts) == 0)[0])
-        raise FrequencyMismatch(f"duplicate bar timestamp {format_timestamp(ts[i])}")
+    ts, open_, high, low, close = read_table(path, BARS)
     gaps: list[datetime] = []
     if len(ts) > 0:
         offsets = ts - ts[0]
@@ -353,73 +406,28 @@ def parse_bars(path: str | Path, frequency: timedelta,
         grid = np.arange(ts[0], ts[-1] + freq_s, freq_s, dtype=np.int64)
         missing = np.setdiff1d(grid, ts, assume_unique=True)
         gaps = [to_datetime(t) for t in missing]
-    series = BarSeries(ts, cols[:, 0], cols[:, 1], cols[:, 2], cols[:, 3],
-                       frequency, asset=asset)
-    return series, gaps
+    return BarSeries(ts, open_, high, low, close, frequency, asset=asset), gaps
 
 
 def parse_option_quotes(path: str | Path) -> QuoteSeries:
-    """Parse options.csv; instrument identity is (strike, expiry)."""
-    rows = _read_rows(path, OPTIONS_HEADER)
-    qt = np.empty(len(rows), dtype=np.int64)
-    expiry = np.empty(len(rows), dtype=np.int64)
-    vals = np.empty((len(rows), 5), dtype=np.float64)
-    for i, (lineno, row) in enumerate(rows):
-        _field_count(lineno, row, 7)
-        qt[i] = _parse_ts(lineno, row[0], "quote_time")
-        expiry[i] = _parse_ts(lineno, row[2], "expiry")
-        for j, name in enumerate(("strike", "option_price", "index_price",
-                                  "implied_vol", "delta")):
-            src = row[1] if j == 0 else row[j + 2]
-            vals[i, j] = _parse_float(lineno, src, name)
-        strike, option_price, index_price, implied_vol, delta = vals[i]
-        if strike <= 0 or index_price <= 0:
-            raise MalformedRow(lineno, "strike and index_price must be positive")
-        if option_price < 0 or implied_vol < 0:
-            raise MalformedRow(lineno, "option_price and implied_vol must be >= 0")
-        if expiry[i] <= qt[i]:
-            raise ExpiredAtQuote(
-                f"line {lineno}: expiry {row[2]} at/before quote_time {row[0]}")
-        if not (0.0 <= delta <= 1.0):
-            raise DeltaOutOfRange(f"line {lineno}: call delta {delta} outside [0, 1]")
-    order = np.lexsort((expiry, vals[:, 0], qt))
-    return QuoteSeries(qt[order], vals[order, 0], expiry[order], vals[order, 1],
-                       vals[order, 2], vals[order, 3], vals[order, 4])
+    """Parse options.csv; instrument identity is (strike, expiry).
 
+    Rejects two quotes of one instrument at one quote_time.
+    """
+    return QuoteSeries(*read_table(path, OPTIONS))
 
-# ---------------------------------------------------------------------------
-# Canonical writers
-# ---------------------------------------------------------------------------
 
 def flows_to_csv(flows: FlowSeries) -> str:
-    buf = io.StringIO()
-    buf.write(",".join(FLOWS_HEADER) + "\n")
-    for i in range(len(flows)):
-        buf.write(f"{format_timestamp(flows.timestamps[i])},{flows.assets[i]},"
-                  f"{format_number(flows.inflow_usd[i])},"
-                  f"{format_number(flows.outflow_usd[i])}\n")
-    return buf.getvalue()
+    return write_table(FLOWS.columns, (flows.timestamps, flows.assets,
+                                       flows.inflow_usd, flows.outflow_usd))
 
 
 def bars_to_csv(bars: BarSeries) -> str:
-    buf = io.StringIO()
-    buf.write(",".join(BARS_HEADER) + "\n")
-    for i in range(len(bars)):
-        buf.write(f"{format_timestamp(bars.timestamps[i])},"
-                  f"{format_number(bars.open[i])},{format_number(bars.high[i])},"
-                  f"{format_number(bars.low[i])},{format_number(bars.close[i])}\n")
-    return buf.getvalue()
+    return write_table(BARS.columns, (bars.timestamps, bars.open, bars.high,
+                                      bars.low, bars.close))
 
 
 def quotes_to_csv(quotes: QuoteSeries) -> str:
-    buf = io.StringIO()
-    buf.write(",".join(OPTIONS_HEADER) + "\n")
-    for i in range(len(quotes)):
-        buf.write(f"{format_timestamp(quotes.quote_times[i])},"
-                  f"{format_number(quotes.strikes[i])},"
-                  f"{format_timestamp(quotes.expiries[i])},"
-                  f"{format_number(quotes.option_prices[i])},"
-                  f"{format_number(quotes.index_prices[i])},"
-                  f"{format_number(quotes.implied_vols[i])},"
-                  f"{format_number(quotes.deltas[i])}\n")
-    return buf.getvalue()
+    return write_table(OPTIONS.columns, (quotes.quote_times, quotes.strikes, quotes.expiries,
+                                         quotes.option_prices, quotes.index_prices,
+                                         quotes.implied_vols, quotes.deltas))

@@ -18,8 +18,7 @@ Conventions shared by every series here:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from datetime import datetime, timedelta
-from typing import Iterator
+from datetime import timedelta
 
 import numpy as np
 
@@ -31,7 +30,7 @@ from .errors import (
     InsufficientSubBars,
     MixedAssets,
 )
-from .ingest import Asset, BarSeries, FlowSeries, to_datetime
+from .ingest import Asset, BarSeries, FlowSeries
 
 HOUR = timedelta(hours=1)
 DEFAULT_SUB_FREQUENCY = timedelta(minutes=5)
@@ -54,11 +53,6 @@ class _HorizonSeries:
 
     def __len__(self) -> int:
         return len(self.timestamps)
-
-    @property
-    def points(self) -> Iterator[tuple[datetime, float]]:
-        for t, v in zip(self.timestamps, self.values):
-            yield to_datetime(t), float(v)
 
     def value_at(self, epoch: int) -> float | None:
         i = np.searchsorted(self.timestamps, epoch)
@@ -92,12 +86,6 @@ class AlignedSample:
     @property
     def n(self) -> int:
         return len(self.timestamps)
-
-    @property
-    def rows(self) -> Iterator[tuple[float, float | None, float]]:
-        for i in range(self.n):
-            c = float(self.control[i]) if self.control is not None else None
-            yield float(self.predictor[i]), c, float(self.response[i])
 
 
 def net_inflows(flows: FlowSeries, horizon: timedelta) -> NetInflowSeries:

@@ -74,6 +74,15 @@ def test_ingest_check_requires_input():
     assert main(["ingest-check"]) == 2
 
 
+def test_ingest_check_rejects_duplicate_quotes(tmp_path, capsys):
+    quotes = tmp_path / "options.csv"
+    quotes.write_text("quote_time,strike,expiry,option_price,index_price,implied_vol,delta\n"
+                      "2022-05-12T13:00:00Z,2000,2022-05-13T08:00:00Z,0.02,2000,1.8,0.17\n"
+                      "2022-05-12T13:00:00Z,2000,2022-05-13T08:00:00Z,0.05,2000,1.8,0.17\n")
+    assert main(["ingest-check", "--options", str(quotes)]) == 2
+    assert "duplicate quote" in capsys.readouterr().err
+
+
 def test_regress_full_grid(dataset, tmp_path):
     out = tmp_path / "grid"
     code = main(["regress", "--flows", str(dataset / "flows.csv"),
