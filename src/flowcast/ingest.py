@@ -38,6 +38,7 @@ from .errors import (
     MalformedRow,
     NegativeFlow,
     NonPositivePrice,
+    ValidationError,
 )
 
 
@@ -335,23 +336,30 @@ def read_table(path: str | Path, schema: Schema) -> list[np.ndarray]:
     rows = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        first = next(reader, None)
-        if first is None:
-            raise MalformedRow(1, f"missing header; expected {','.join(header)}")
-        if [h.strip() for h in first] != header:
-            raise MalformedRow(1, f"bad header {first!r}; expected {','.join(header)}")
-        for lineno, fields in enumerate(reader, start=2):
-            if not fields or (len(fields) == 1 and not fields[0].strip()):
-                continue
-            if len(fields) != len(header):
-                raise MalformedRow(lineno, f"expected {len(header)} fields, got {len(fields)}")
-            try:
-                values = [kind.parse(text, name)
-                          for (name, kind), text in zip(schema.columns, fields)]
-            except ValueError as exc:
-                raise MalformedRow(lineno, str(exc)) from None
-            schema.check(lineno, fields, values)
-            rows.append(values)
+        try:
+            first = next(reader, None)
+            if first is None:
+                raise MalformedRow(1, f"missing header; expected {','.join(header)}")
+            if [h.strip() for h in first] != header:
+                raise MalformedRow(1, f"bad header {first!r}; expected {','.join(header)}")
+            for lineno, fields in enumerate(reader, start=2):
+                if not fields or (len(fields) == 1 and not fields[0].strip()):
+                    continue
+                if len(fields) != len(header):
+                    raise MalformedRow(lineno,
+                                       f"expected {len(header)} fields, got {len(fields)}")
+                try:
+                    values = [kind.parse(text, name)
+                              for (name, kind), text in zip(schema.columns, fields)]
+                except ValueError as exc:
+                    raise MalformedRow(lineno, str(exc)) from None
+                schema.check(lineno, fields, values)
+                rows.append(values)
+        except UnicodeDecodeError:
+            # The decoder reads ahead in blocks, so no line number is known.
+            raise ValidationError(f"{path}: not valid UTF-8") from None
+        except csv.Error as exc:
+            raise MalformedRow(reader.line_num, str(exc)) from None
     columns = [np.array(col, dtype=kind.dtype) for (_, kind), col
                in zip(schema.columns, zip(*rows) if rows else [()] * len(header))]
     order = np.lexsort([columns[j] for j in reversed(schema.key)])

@@ -20,7 +20,6 @@ from datetime import timedelta
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy import stats
 
 from .errors import FlowcastError, InvalidConfig, RankDeficient, TooFewObservations
 from .ingest import Asset, BarSeries, FlowSeries
@@ -154,7 +153,12 @@ def two_sided_p(t_stat: float, df: int) -> float:
         raise TooFewObservations(f"need at least 1 degree of freedom, got {df}")
     if math.isinf(t_stat):
         return 0.0
-    return 2.0 * float(stats.t.sf(abs(t_stat), df))
+    # Deferred: importing scipy costs most of a short command's run time.
+    from scipy.special import stdtr
+
+    # scipy.stats.t.sf(x, df) computes stdtr(df, -x); calling it directly
+    # gives the same bits without the distribution's per-call overhead.
+    return 2.0 * float(stdtr(df, -abs(t_stat)))
 
 
 def significance(t_stat: float, n: int, k: int) -> str:

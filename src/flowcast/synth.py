@@ -24,8 +24,6 @@ from datetime import timedelta
 from typing import Mapping
 
 import numpy as np
-from scipy.signal import lfilter
-from scipy.special import ndtr
 
 from .errors import InvalidConfig
 from .ingest import Asset, BarSeries, FlowSeries, QuoteSeries
@@ -132,6 +130,9 @@ def gen_price_bars(seed: int | np.random.SeedSequence, hours: int,
                    init_price: float = 2000.0, start: int = DEFAULT_START,
                    asset: Asset | None = None) -> BarSeries:
     """Sub-hourly bars with planted return and volatility responses to flows."""
+    # Deferred: scipy.signal loads scipy.stats, which analysis commands never need.
+    from scipy.signal import lfilter
+
     seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     rng = _rng(seq)
     sub_s = int(sub_frequency.total_seconds())
@@ -205,6 +206,9 @@ def gen_flows_and_prices(cfg: SynthConfig) -> tuple[FlowSeries, BarSeries]:
 def black_scholes_call(index: float, strike: float, years: float,
                        sigma: float) -> tuple[float, float]:
     """(price, delta) of a European call under a zero-rate lognormal model."""
+    # Deferred: importing scipy costs most of a short command's run time.
+    from scipy.special import ndtr
+
     if years <= 0 or sigma <= 0:
         intrinsic = max(index - strike, 0.0)
         return intrinsic, 1.0 if index > strike else 0.0

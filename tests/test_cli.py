@@ -1,10 +1,14 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
 import pytest
 
+import flowcast
 from flowcast.cli import main
 
 GRID_SCHEMA = {
@@ -81,6 +85,35 @@ def test_ingest_check_rejects_duplicate_quotes(tmp_path, capsys):
                       "2022-05-12T13:00:00Z,2000,2022-05-13T08:00:00Z,0.05,2000,1.8,0.17\n")
     assert main(["ingest-check", "--options", str(quotes)]) == 2
     assert "duplicate quote" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,text", [
+    ("--flows", b"timestamp,asset,inflow_usd,outflow_usd\n"
+                b"2022-05-12T13:00:00Z,ET\xff,1,0\n"),
+    ("--bars", b"timestamp,open,high,low,close\n"
+               b"2022-01-01T11:00:00Z,100,101,99,100.5\xff\n"),
+    ("--options", b"\xffquote_time,strike,expiry,option_price,index_price,implied_vol,delta\n"),
+], ids=["flows", "bars", "options"])
+def test_ingest_check_rejects_non_utf8_input(tmp_path, capsys, flag, text):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(text)
+    assert main(["ingest-check", flag, str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"validation error: {bad}: not valid UTF-8\n"
+
+
+def test_import_loads_no_scipy():
+    # Importing scipy costs most of a short command's run time; only the
+    # functions that call it may load it. Tests import flowcast in-process,
+    # so only a fresh interpreter shows what the import itself loads.
+    src = str(Path(flowcast.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = ("import sys, flowcast, flowcast.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out == "[]\n"
 
 
 def test_regress_full_grid(dataset, tmp_path):

@@ -286,6 +286,9 @@ ROW_CHECKS = [
     ("flows-negative-flow", "flows",
      "2022-05-12T13:00:00Z,ETH,1,-0.5\n",
      errors.NegativeFlow, "line 3: negative flow (1, -0.5)"),
+    ("flows-oversized-field", "flows",
+     "2022-05-12T13:00:00Z,ETH," + "1" * 131073 + ",0\n",
+     errors.MalformedRow, "line 3: field larger than field limit (131072)"),
     ("flows-duplicate", "flows",
      "2022-05-12T13:00:00Z,BTC,1,0\n2022-05-12T13:00:00Z,BTC,2,0\n",
      errors.DuplicateTimestamp, "duplicate (BTC, 2022-05-12T13:00:00Z)"),

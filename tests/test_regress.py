@@ -2,6 +2,9 @@ from datetime import timedelta
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy import stats
 
 import oracles
 from conftest import T0
@@ -160,6 +163,19 @@ def test_significance_levels(t, df, expected):
 
 def test_significance_infinite_t():
     assert significance(float("inf"), 100, 1) == "***"
+
+
+@settings(max_examples=1000)
+@given(t=st.floats(allow_nan=False, allow_infinity=False), df=st.integers(1, 10**7))
+@example(t=0.0, df=1)
+@example(t=-0.0, df=10**7)
+@example(t=5e-324, df=3)
+@example(t=-2.2250738585072014e-308, df=1000)
+@example(t=1e300, df=1)
+@example(t=-1e300, df=10**7)
+def test_two_sided_p_is_bit_identical_to_scipy_t_sf(t, df):
+    expected = 2.0 * float(stats.t.sf(abs(t), df))
+    assert two_sided_p(t, df).hex() == expected.hex()
 
 
 def test_sign_classification_rules():
