@@ -71,20 +71,28 @@ def _parse_list(text: str, allowed: tuple[str, ...], what: str) -> list[str]:
     return out
 
 
+def _read_text(path: str) -> str:
+    """A whole UTF-8 input file; a byte that is not UTF-8 is a validation error."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError:
+        raise ValidationError(f"{path}: not valid UTF-8") from None
+
+
 def _load_config(path: str) -> dict:
     """Flat ``section.key = value`` lines -> click default map."""
     defaults: dict[str, dict[str, str]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line or "." not in line.split("=", 1)[0]:
-                raise click.UsageError(
-                    f"{path}:{lineno}: expected 'section.key = value', got {line!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            section, name = key.split(".", 1)
-            defaults.setdefault(section, {})[name.replace("-", "_")] = value
+    for lineno, raw in enumerate(_read_text(path).split("\n"), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line or "." not in line.split("=", 1)[0]:
+            raise click.UsageError(
+                f"{path}:{lineno}: expected 'section.key = value', got {line!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        section, name = key.split(".", 1)
+        defaults.setdefault(section, {})[name.replace("-", "_")] = value
     return defaults
 
 
@@ -147,9 +155,11 @@ def ingest_check(flows, bars, bar_frequency_minutes, options_path):
         click.echo(f"bars: {len(series)} rows, {len(gaps)} gap(s)")
     if options_path:
         quotes = ingest.parse_option_quotes(options_path)
-        instruments = {(float(s), int(e))
-                       for s, e in zip(quotes.strikes, quotes.expiries)}
-        click.echo(f"options: {len(quotes)} quotes, {len(instruments)} instruments")
+        order = np.lexsort((quotes.expiries, quotes.strikes))
+        strikes, expiries = quotes.strikes[order], quotes.expiries[order]
+        changes = (strikes[1:] != strikes[:-1]) | (expiries[1:] != expiries[:-1])
+        instruments = int(np.count_nonzero(changes)) + (len(quotes) > 0)
+        click.echo(f"options: {len(quotes)} quotes, {instruments} instruments")
 
 
 @cli.command("regress")
@@ -352,8 +362,7 @@ def cmd_synth(seed, hours, usdt_eth_ret, eth_eth_ret, usdt_btc_ret, btc_btc_vol,
 @click.option("--out", type=_out_dir, required=True)
 def cmd_report(grid, out):
     """Re-render a stored grid JSON as the heatmap TSV."""
-    with open(grid, "r", encoding="utf-8") as fh:
-        cells = regress.grid_from_json(fh.read())
+    cells = regress.grid_from_json(_read_text(grid), source=grid)
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write(out_dir / "grid.tsv", regress.grid_to_tsv(cells))

@@ -1,21 +1,15 @@
 """CSV ingestion: exchange flows, price bars, and call-option quotes.
 
-One table codec reads and writes every file. A schema gives each file's
-header, a converter per column, a check on each converted row, and a key.
-The reader reports a malformed row's first fault in column order with its
-line number, and returns columnar, immutable containers stably sorted by
-the key; two rows with one key are rejected. Timestamps are ISO-8601 UTC
-only. The writer emits the canonical text, so ``write(parse(f))`` is a
-fixed point for well-formed files: comma-joined lines ending in ``\\n``,
-timestamps as ``YYYY-MM-DDTHH:MM:SSZ`` (four-digit year), floats as their
-shortest round-trip ``repr``, assets and integers as they are.
-
-Schemas (RFC 4180, UTF-8, header required) and the key unique in each:
-
-    flows.csv    timestamp,asset,inflow_usd,outflow_usd  (asset, timestamp)
-    bars.csv     timestamp,open,high,low,close           timestamp
-    options.csv  quote_time,strike,expiry,option_price,index_price,implied_vol,delta
-                 (quote_time, strike, expiry)
+One table codec reads and writes every file (RFC 4180, UTF-8, header
+required). A schema (``FLOWS``, ``BARS``, ``OPTIONS``) gives each file's
+columns with their kinds, its row checks and the key no two rows may share.
+The reader converts and checks whole columns, reports the first faulty
+line's first fault with its line number, and returns the columns stably
+sorted by the key. Timestamps are ISO-8601 UTC only. The writer emits the
+canonical text, so ``write(parse(f))`` is a fixed point for well-formed
+files: comma-joined lines ending in ``\\n``, timestamps as
+``YYYY-MM-DDTHH:MM:SSZ`` (four-digit year), floats as their shortest
+round-trip ``repr``, assets and integers as they are.
 """
 
 from __future__ import annotations
@@ -30,16 +24,8 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import (
-    DeltaOutOfRange,
-    DuplicateTimestamp,
-    ExpiredAtQuote,
-    FrequencyMismatch,
-    MalformedRow,
-    NegativeFlow,
-    NonPositivePrice,
-    ValidationError,
-)
+from .errors import (DeltaOutOfRange, DuplicateTimestamp, ExpiredAtQuote, FrequencyMismatch,
+                     MalformedRow, NegativeFlow, NonPositivePrice, ValidationError)
 
 
 class Asset(str, enum.Enum):
@@ -78,10 +64,6 @@ def format_number(x: float) -> str:
     """Canonical decimal text for a float (shortest round-trip form)."""
     return repr(float(x))
 
-
-# ---------------------------------------------------------------------------
-# Record types (scalar views) and their columnar containers
-# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class FlowRecord:
@@ -221,14 +203,13 @@ class QuoteSeries(Sequence[OptionQuote]):
                            float(self.deltas[i]))
 
 
-# ---------------------------------------------------------------------------
-# Table codec: column kinds, schemas, the reader and the writer
-# ---------------------------------------------------------------------------
-
 class Kind(NamedTuple):
-    """A column type: ``parse(field, name)`` raises ValueError on a bad field."""
+    """A column type: ``parse(field, name)`` converts one field or raises
+    ValueError; ``fast(fields)`` converts a column to its values and a mask
+    of the fields it took, or raises ValueError if it can take none."""
 
     parse: Callable[[str, str], object] | None
+    fast: Callable[[Sequence[str]], tuple[np.ndarray, np.ndarray]] | None
     dtype: str
     format: Callable[[np.ndarray], list[str]]
 
@@ -264,76 +245,126 @@ def _parse_asset(text: str, name: str) -> str:
         raise ValueError(f"unknown {name} {text!r}") from None
 
 
+_CANONICAL = np.frombuffer(b"0000-00-00T00:00:00Z", np.uint8)  # each 0 stands for a digit
+
+
+def _fast_timestamps(fields: Sequence[str], step: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Takes the fields spelt YYYY-MM-DDTHH:MM:SSZ (not year 0000, which
+    ``parse`` rejects) whose epoch is a multiple of ``step``."""
+    n = len(fields)
+    text = np.array(fields, dtype="S20")  # raises on non-ASCII text
+    b = text.view(np.uint8).reshape(n, 20)
+    took = ((np.fromiter(map(len, fields), np.int64, n) == 20) & (b[:, :4] != 48).any(1)
+            & np.where(_CANONICAL == 48, (b >= 48) & (b <= 57), b == _CANONICAL).all(1))
+    values = np.where(took, text.astype("S19"), b"1970-01-01T00:00:00").astype(
+        "datetime64[s]").astype(np.int64)  # raises on a date such as 2021-02-29
+    return values, took & (values % step == 0)
+
+
+def _fast_numbers(fields: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    values = np.fromiter(map(float, fields), np.float64, len(fields))
+    return values, np.isfinite(values)
+
+
+def _fast_assets(fields: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    text = list(map(str.strip, fields))  # checked before the U4 cast truncates it
+    return np.array(text, "U4"), np.fromiter(map(_ASSETS.__contains__, text), bool, len(text))
+
+
 def _timestamp_text(col: np.ndarray) -> list[str]:
     return np.datetime_as_string(col.astype("datetime64[s]"), unit="s",
                                  timezone="UTC").tolist()
 
 
-TIMESTAMP = Kind(_parse_ts, "int64", _timestamp_text)
-HOUR = Kind(_parse_hour, "int64", _timestamp_text)
-NUMBER = Kind(_parse_number, "float64", lambda col: list(map(format_number, col.tolist())))
-ASSET = Kind(_parse_asset, "U4", np.ndarray.tolist)
-INTEGER = Kind(None, "int64", lambda col: list(map(str, col.tolist())))  # written only
+_ASSETS = frozenset(a.value for a in Asset)
+TIMESTAMP = Kind(_parse_ts, _fast_timestamps, "int64", _timestamp_text)
+HOUR = Kind(_parse_hour, lambda fields: _fast_timestamps(fields, 3600), "int64", _timestamp_text)
+NUMBER = Kind(_parse_number, _fast_numbers, "float64",
+              lambda col: list(map(format_number, col.tolist())))
+ASSET = Kind(_parse_asset, _fast_assets, "U4", np.ndarray.tolist)
+INTEGER = Kind(None, None, "int64", lambda col: list(map(str, col.tolist())))  # written only
 
 
 class Schema(NamedTuple):
-    """An input file's columns, its row ``check(lineno, fields, values)``, its
-    ``key`` column indices (most significant first) and ``duplicate`` error."""
+    """An input file's columns, its row checks as ``(bad(values), error(lineno,
+    fields, values))`` pairs, where ``bad`` takes the columns or one row's
+    values, its ``key`` column indices (most significant first) and the
+    ``duplicate`` error for a repeated key."""
 
     columns: tuple[tuple[str, Kind], ...]
-    check: Callable[[int, list[str], list], None]
+    checks: tuple[tuple[Callable[[list], object], Callable[..., Exception]], ...]
     key: tuple[int, ...]
     duplicate: Callable[[str], Exception]
-
-
-def _check_flow(lineno: int, fields: list[str], values: list) -> None:
-    if values[2] < 0 or values[3] < 0:
-        raise NegativeFlow(f"line {lineno}: negative flow ({fields[2]}, {fields[3]})")
-
-
-def _check_bar(lineno: int, fields: list[str], values: list) -> None:
-    _, o, h, l, c = values
-    if min(o, h, l, c) <= 0:
-        raise NonPositivePrice(f"line {lineno}: non-positive price")
-    if l > min(o, c) or h < max(o, c):
-        raise MalformedRow(lineno, f"OHLC out of order ({o}, {h}, {l}, {c})")
-
-
-def _check_quote(lineno: int, fields: list[str], values: list) -> None:
-    quote_time, strike, expiry, option_price, index_price, implied_vol, delta = values
-    if strike <= 0 or index_price <= 0:
-        raise MalformedRow(lineno, "strike and index_price must be positive")
-    if option_price < 0 or implied_vol < 0:
-        raise MalformedRow(lineno, "option_price and implied_vol must be >= 0")
-    if expiry <= quote_time:
-        raise ExpiredAtQuote(
-            f"line {lineno}: expiry {fields[2]} at/before quote_time {fields[0]}")
-    if not (0.0 <= delta <= 1.0):
-        raise DeltaOutOfRange(f"line {lineno}: call delta {delta} outside [0, 1]")
 
 
 FLOWS = Schema(
     columns=(("timestamp", HOUR), ("asset", ASSET),
              ("inflow_usd", NUMBER), ("outflow_usd", NUMBER)),
-    check=_check_flow, key=(1, 0),
-    duplicate=lambda key: DuplicateTimestamp(f"duplicate ({key})"))
+    checks=((lambda v: (v[2] < 0) | (v[3] < 0),
+             lambda n, f, v: NegativeFlow(f"line {n}: negative flow ({f[2]}, {f[3]})")),),
+    key=(1, 0), duplicate=lambda key: DuplicateTimestamp(f"duplicate ({key})"))
 BARS = Schema(
     columns=(("timestamp", TIMESTAMP), ("open", NUMBER), ("high", NUMBER),
              ("low", NUMBER), ("close", NUMBER)),
-    check=_check_bar, key=(0,),
-    duplicate=lambda key: FrequencyMismatch(f"duplicate bar timestamp {key}"))
+    checks=((lambda v: (v[1] <= 0) | (v[2] <= 0) | (v[3] <= 0) | (v[4] <= 0),
+             lambda n, f, v: NonPositivePrice(f"line {n}: non-positive price")),
+            (lambda v: (v[3] > np.minimum(v[1], v[4])) | (v[2] < np.maximum(v[1], v[4])),
+             lambda n, f, v: MalformedRow(n, f"OHLC out of order ({', '.join(map(str, v[1:]))})"))),
+    key=(0,), duplicate=lambda key: FrequencyMismatch(f"duplicate bar timestamp {key}"))
 OPTIONS = Schema(
     columns=(("quote_time", TIMESTAMP), ("strike", NUMBER), ("expiry", TIMESTAMP),
              ("option_price", NUMBER), ("index_price", NUMBER),
              ("implied_vol", NUMBER), ("delta", NUMBER)),
-    check=_check_quote, key=(0, 1, 2),
-    duplicate=lambda key: DuplicateTimestamp(f"duplicate quote ({key})"))
+    checks=((lambda v: (v[1] <= 0) | (v[4] <= 0),
+             lambda n, f, v: MalformedRow(n, "strike and index_price must be positive")),
+            (lambda v: (v[3] < 0) | (v[5] < 0),
+             lambda n, f, v: MalformedRow(n, "option_price and implied_vol must be >= 0")),
+            (lambda v: v[2] <= v[0], lambda n, f, v: ExpiredAtQuote(
+                f"line {n}: expiry {f[2]} at/before quote_time {f[0]}")),
+            (lambda v: (v[6] < 0) | (v[6] > 1), lambda n, f, v: DeltaOutOfRange(
+                f"line {n}: call delta {v[6]} outside [0, 1]"))),
+    key=(0, 1, 2), duplicate=lambda key: DuplicateTimestamp(f"duplicate quote ({key})"))
+
+
+def check_row(schema: Schema, lineno: int, fields: Sequence[str]) -> list:
+    """One record's values by the scalar converters and checks; raises its
+    first fault in column order, then in check order."""
+    try:
+        values = [kind.parse(text, name) for (name, kind), text in zip(schema.columns, fields)]
+    except ValueError as exc:
+        raise MalformedRow(lineno, str(exc)) from None
+    for bad, error in schema.checks:
+        if bad(values):
+            raise error(lineno, fields, values)
+    return values
+
+
+def _convert(kind: Kind, fields: Sequence[str], name: str) -> tuple[np.ndarray, np.ndarray]:
+    """A column's values and bad-field mask: the fast path, then ``parse`` on
+    each field it did not take (faults and other timestamp spellings)."""
+    try:
+        values, took = kind.fast(fields)
+    except ValueError:  # such as one field that is not a number: it takes no field
+        values, took = np.zeros(len(fields), kind.dtype), np.zeros(len(fields), bool)
+    bad = ~took
+    for i in np.flatnonzero(bad).tolist():
+        try:
+            values[i], bad[i] = kind.parse(fields[i], name), False
+        except ValueError:
+            pass
+    return values, bad
 
 
 def read_table(path: str | Path, schema: Schema) -> list[np.ndarray]:
-    """Parse and check one CSV file; its columns, stably sorted by the key."""
+    """Parse and check one CSV file; its columns, stably sorted by the key.
+
+    Columns are converted and checked whole, and ``check_row`` raises the
+    first faulty record's error. A bad field count, a ``csv.Error`` or a
+    byte that is not UTF-8 is reported only if no earlier record is faulty.
+    """
     header = [name for name, _ in schema.columns]
-    rows = []
+    records: list[list[str]] = []
+    fault = None
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -342,26 +373,32 @@ def read_table(path: str | Path, schema: Schema) -> list[np.ndarray]:
                 raise MalformedRow(1, f"missing header; expected {','.join(header)}")
             if [h.strip() for h in first] != header:
                 raise MalformedRow(1, f"bad header {first!r}; expected {','.join(header)}")
-            for lineno, fields in enumerate(reader, start=2):
-                if not fields or (len(fields) == 1 and not fields[0].strip()):
-                    continue
-                if len(fields) != len(header):
-                    raise MalformedRow(lineno,
-                                       f"expected {len(header)} fields, got {len(fields)}")
-                try:
-                    values = [kind.parse(text, name)
-                              for (name, kind), text in zip(schema.columns, fields)]
-                except ValueError as exc:
-                    raise MalformedRow(lineno, str(exc)) from None
-                schema.check(lineno, fields, values)
-                rows.append(values)
-        except UnicodeDecodeError:
-            # The decoder reads ahead in blocks, so no line number is known.
-            raise ValidationError(f"{path}: not valid UTF-8") from None
+            records.extend(reader)  # on a fault, keeps the records read before it
+        except UnicodeDecodeError:  # the decoder reads ahead in blocks: no line number
+            fault = ValidationError(f"{path}: not valid UTF-8")
         except csv.Error as exc:
-            raise MalformedRow(reader.line_num, str(exc)) from None
-    columns = [np.array(col, dtype=kind.dtype) for (_, kind), col
-               in zip(schema.columns, zip(*rows) if rows else [()] * len(header))]
+            fault = MalformedRow(reader.line_num, str(exc))
+    width = np.fromiter(map(len, records), np.int64, len(records))
+    blank = width == 0
+    for i in np.flatnonzero(width == 1).tolist():
+        blank[i] = not records[i][0].strip()
+    miscounted = np.flatnonzero((width != len(header)) & ~blank)
+    if len(miscounted):
+        end = int(miscounted[0])
+        fault = MalformedRow(end + 2, f"expected {len(header)} fields, got {width[end]}")
+        records, blank = records[:end], blank[:end]
+    lines = np.flatnonzero(~blank) + 2  # record i is on line i + 2
+    rows = [records[i - 2] for i in lines.tolist()] if blank.any() else records
+    converted = [_convert(kind, col, name) for (name, kind), col
+                 in zip(schema.columns, zip(*rows) if rows else [()] * len(header))]
+    columns = [values for values, _ in converted]
+    faulty = np.flatnonzero(np.logical_or.reduce([bad for _, bad in converted]
+                                                 + [bad(columns) for bad, _ in schema.checks]))
+    if len(faulty):
+        check_row(schema, int(lines[faulty[0]]), rows[faulty[0]])
+        raise RuntimeError(f"line {lines[faulty[0]]}: column and row checks disagree")
+    if fault is not None:
+        raise fault
     order = np.lexsort([columns[j] for j in reversed(schema.key)])
     columns = [col[order] for col in columns]
     repeated = np.logical_and.reduce([columns[j][1:] == columns[j][:-1] for j in schema.key])
@@ -403,17 +440,12 @@ def parse_bars(path: str | Path, frequency: timedelta,
     if freq_s <= 0:
         raise FrequencyMismatch(f"non-positive frequency {frequency}")
     ts, open_, high, low, close = read_table(path, BARS)
-    gaps: list[datetime] = []
-    if len(ts) > 0:
-        offsets = ts - ts[0]
-        bad = offsets % freq_s != 0
-        if bad.any():
-            i = int(np.flatnonzero(bad)[0])
-            raise FrequencyMismatch(
-                f"timestamp {format_timestamp(ts[i])} off the {frequency} grid")
-        grid = np.arange(ts[0], ts[-1] + freq_s, freq_s, dtype=np.int64)
-        missing = np.setdiff1d(grid, ts, assume_unique=True)
-        gaps = [to_datetime(t) for t in missing]
+    off_grid = np.flatnonzero((ts - ts[:1]) % freq_s)
+    if len(off_grid):
+        raise FrequencyMismatch(
+            f"timestamp {format_timestamp(ts[off_grid[0]])} off the {frequency} grid")
+    grid = np.arange(ts[0], ts[-1] + freq_s, freq_s, dtype=np.int64) if len(ts) else ts
+    gaps = [to_datetime(t) for t in np.setdiff1d(grid, ts, assume_unique=True)]
     return BarSeries(ts, open_, high, low, close, frequency, asset=asset), gaps
 
 

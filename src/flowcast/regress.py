@@ -21,7 +21,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import FlowcastError, InvalidConfig, RankDeficient, TooFewObservations
+from .errors import (FlowcastError, InvalidConfig, RankDeficient, TooFewObservations,
+                     ValidationError)
 from .ingest import Asset, BarSeries, FlowSeries
 from .series import (
     AlignedSample,
@@ -358,18 +359,28 @@ def grid_to_json(cells: Iterable[HeatmapCell]) -> str:
     return json.dumps([cell_to_dict(c) for c in cells], indent=2) + "\n"
 
 
-def grid_from_json(text: str) -> list[HeatmapCell]:
+def grid_from_json(text: str, source: str = "grid") -> list[HeatmapCell]:
+    """The cells of a ``grid_to_json`` text. Text that is not JSON, or not a
+    list of cells whose fields have the right types, raises ValidationError
+    naming ``source``."""
     cells = []
-    for d in json.loads(text):
-        cells.append(HeatmapCell(
-            pair=(Asset(d["pair"][0]), Asset(d["pair"][1])),
-            target=d["target"],
-            horizon=timedelta(hours=d["horizon_hours"]),
-            model=d["model"],
-            beta1=d["beta1"],
-            stars=d["stars"],
-            sign=d["sign"],
-            error=d.get("error")))
+    try:
+        for d in json.loads(text):
+            cell = HeatmapCell(
+                pair=(Asset(d["pair"][0]), Asset(d["pair"][1])),
+                target=d["target"],
+                horizon=timedelta(hours=d["horizon_hours"]),
+                model=d["model"],
+                beta1=d["beta1"],
+                stars=d["stars"],
+                sign=d["sign"],
+                error=d.get("error"))
+            if not all(isinstance(v, str) for v in (cell.target, cell.model, cell.stars, cell.sign,
+                                                     "" if cell.error is None else cell.error)):
+                raise TypeError("target, model, stars, sign and error must be strings")
+            cells.append(cell)
+    except (ValueError, TypeError, KeyError, IndexError, OverflowError, RecursionError) as exc:
+        raise ValidationError(f"{source}: not a heatmap grid ({exc})") from None
     return cells
 
 

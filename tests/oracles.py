@@ -2,16 +2,22 @@
 
 Everything here is deliberately written the slow, obvious way, without
 reusing any code path from the package under test: explicit loops,
-explicit Gaussian elimination, numeric quadrature. The one exception is
-``reference_backtest``, which re-implements only the quote lookup and
+explicit Gaussian elimination, numeric quadrature. There are two
+exceptions. ``reference_backtest`` re-implements only the quote lookup and
 shares the trade accounting and the bucket aggregation with the package.
+``reference_read_table`` is the row-at-a-time CSV reader: it shares the
+schemas and the scalar converters and checks (``check_row``) with the
+package, and re-implements the reading loop and the order of its faults.
 """
 
+import csv
 import math
 
 import numpy as np
 from scipy.integrate import quad
 
+from flowcast.errors import MalformedRow, ValidationError
+from flowcast.ingest import check_row
 from flowcast.options import (
     WTL_COUNTS,
     BacktestDiagnostics,
@@ -216,3 +222,46 @@ def reference_backtest(net_series, quotes, pct, leg, side, costs, buckets,
             trades.append(trade(entry, quotes[j], side, costs=costs))
     diag.trades = len(trades)
     return {key: bucket_stats(trades, key, wtl_mode=wtl_mode) for key in buckets}, diag
+
+
+def reference_read_table(path, schema):
+    """Read a CSV file one record at a time, like ``ingest.read_table``.
+
+    Each record goes through ``check_row`` as soon as it is read, so the
+    first fault met is the one raised: a record's bad field count or a
+    faulty value, a ``csv.Error`` or a byte that is not UTF-8. Blank
+    records are skipped but counted, so record k after the header is on
+    line k + 1. The columns are then stably sorted by the key and a
+    repeated key is rejected.
+    """
+    header = [name for name, _ in schema.columns]
+    rows = []
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            first = next(reader, None)
+            if first is None:
+                raise MalformedRow(1, f"missing header; expected {','.join(header)}")
+            if [h.strip() for h in first] != header:
+                raise MalformedRow(1, f"bad header {first!r}; expected {','.join(header)}")
+            for lineno, fields in enumerate(reader, start=2):
+                if not fields or (len(fields) == 1 and not fields[0].strip()):
+                    continue
+                if len(fields) != len(header):
+                    raise MalformedRow(lineno,
+                                       f"expected {len(header)} fields, got {len(fields)}")
+                rows.append(check_row(schema, lineno, fields))
+        except UnicodeDecodeError:
+            raise ValidationError(f"{path}: not valid UTF-8") from None
+        except csv.Error as exc:
+            raise MalformedRow(reader.line_num, str(exc)) from None
+    columns = [np.array(col, dtype=kind.dtype) for (_, kind), col
+               in zip(schema.columns, zip(*rows) if rows else [()] * len(header))]
+    order = np.lexsort([columns[j] for j in reversed(schema.key)])
+    columns = [col[order] for col in columns]
+    repeated = np.logical_and.reduce([columns[j][1:] == columns[j][:-1] for j in schema.key])
+    if repeated.any():
+        i = int(np.flatnonzero(repeated)[0])
+        raise schema.duplicate(", ".join(schema.columns[j][1].format(columns[j][i:i + 1])[0]
+                                         for j in schema.key))
+    return columns

@@ -277,3 +277,25 @@ def test_validation_error_exit_code(tmp_path, capsys):
                    "2022-01-01T00:00:00Z,ETH,-5,0\n")
     code = main(["events", "--flows", str(bad), "--out", str(tmp_path / "o")])
     assert code == 2
+
+
+@pytest.mark.parametrize("flag,data,reason", [
+    ("--grid", b"{", "not a heatmap grid (Expecting property name enclosed in double quotes"),
+    ("--grid", b'[{"pair": 1}]', "not a heatmap grid ('int' object is not subscriptable)"),
+    ("--grid", b"\xff[]", "not valid UTF-8"),
+    ("--grid", b"[" * 100000, "not a heatmap grid (maximum recursion depth exceeded"),
+    ("--config", b"report.out = x\n\xff\n", "not valid UTF-8"),
+], ids=["grid-json", "grid-cell-type", "grid-utf8", "grid-nesting", "config-utf8"])
+def test_bad_grid_or_config_is_a_validation_error(tmp_path, capsys, flag, data, reason):
+    bad = tmp_path / "bad.in"
+    bad.write_bytes(data)
+    grid = tmp_path / "grid.json"
+    grid.write_text("[]\n")
+    if flag == "--grid":
+        argv = ["report", "--grid", str(bad), "--out", str(tmp_path / "o")]
+    else:
+        argv = ["--config", str(bad), "report", "--grid", str(grid), "--out", str(tmp_path / "o")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"validation error: {bad}: {reason}")
+    assert "Traceback" not in err

@@ -1,14 +1,23 @@
+import csv
+import io
 import tempfile
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowcast import errors
 from flowcast.ingest import (
+    ASSET,
+    BARS,
+    FLOWS,
+    HOUR,
+    NUMBER,
+    OPTIONS,
+    TIMESTAMP,
     Asset,
     BarSeries,
     FlowSeries,
@@ -21,7 +30,9 @@ from flowcast.ingest import (
     parse_option_quotes,
     parse_timestamp,
     quotes_to_csv,
+    read_table,
 )
+from oracles import reference_read_table
 
 FLOWS_HEADER = "timestamp,asset,inflow_usd,outflow_usd\n"
 BARS_HEADER = "timestamp,open,high,low,close\n"
@@ -494,3 +505,244 @@ def test_quotes_codec_round_trip(rows):
     check_round_trip(rows, lambda r: r[:3], build, parse_option_quotes, quotes_to_csv,
                      ["quote_times", "strikes", "expiries", "option_prices",
                       "index_prices", "implied_vols", "deltas"])
+
+
+# ---------------------------------------------------------------------------
+# the columnar reader against the row-at-a-time reference reader
+# ---------------------------------------------------------------------------
+
+SCHEMAS = {"flows": FLOWS, "bars": BARS, "options": OPTIONS}
+
+
+def outcome(read, path, schema):
+    """What a reader does with a file: its columns' dtypes and bytes, or the
+    class, message and line of the error it raises."""
+    try:
+        columns = read(path, schema)
+    except errors.FlowcastError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+    return [(col.dtype.str, col.tobytes()) for col in columns]
+
+
+def assert_readers_agree(path, schema):
+    got = outcome(read_table, path, schema)
+    assert got == outcome(reference_read_table, path, schema)
+    return got
+
+
+def csv_line(fields):
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerow(fields)
+    return out.getvalue()
+
+
+def timestamp_spellings(epoch):
+    """Texts that parse_timestamp reads as ``epoch``; only the first is canonical."""
+    c = format_timestamp(epoch)
+    return [c, c[:-1] + "+00:00", c[:10] + " " + c[11:], f" {c} ", c[:-1] + ".000Z",
+            c.replace("-", "").replace(":", ""), c + "\n", "\u00a0" + c]
+
+
+def number_spellings(x):
+    return [repr(x), f"{x:.17g}", f" {x!r} ", f"{x!r}\n", f"{x:e}"]
+
+
+def asset_spellings(a):
+    return [a, f" {a} ", f"{a}\n", f"\t{a}"]
+
+
+SPELLINGS = {TIMESTAMP: timestamp_spellings, HOUR: timestamp_spellings,
+             NUMBER: number_spellings, ASSET: asset_spellings}
+
+BAD_TIMESTAMPS = ["12 May 2022", "2022-05-12T13:00:00", "2022-05-12T13:00:00+01:00",
+                  "2022-05-12T13:00:00.5Z", "2021-02-29T00:00:00Z", "0000-01-01T00:00:00Z",
+                  "2021-01-01T24:00:00Z", "2021-13-01T00:00:00Z", "2021-01-01T00:00:60Z",
+                  "", "２０２１-01-01T00:00:00Z", "2021-01-01T00:00:00ZZ"]
+BAD_FIELDS = {  # faults of every converter
+    TIMESTAMP: BAD_TIMESTAMPS,
+    HOUR: BAD_TIMESTAMPS + ["2022-05-12T13:30:00Z", "2022-05-12T13:00:01Z"],
+    NUMBER: ["abc", "", "nan", "inf", "-Infinity", "1e309", "0x1p3", "1,5", "1x"],
+    ASSET: ["DOGE", "USDTX", "", "eth", "ETH ETH"],
+}
+CHECK_FAULTS = {  # (column, text) that fail each row check of each schema
+    "flows": [(2, "-1"), (3, "-0.5")],
+    "bars": [(1, "0"), (4, "-2"), (3, "1e300"), (2, "1e-300")],
+    "options": [(1, "0"), (4, "-1"), (3, "-0.01"), (5, "-1"), (2, "0001-01-01T00:00:00Z"),
+                (6, "1.5"), (6, "-0.01")],
+}
+
+
+def valid_rows(name):
+    if name == "flows":
+        return st.lists(st.tuples(instants().map(lambda t: t - t % 3600),
+                                  st.sampled_from([a.value for a in Asset]),
+                                  NON_NEGATIVE, NON_NEGATIVE),
+                        unique_by=lambda r: r[:2], max_size=12)
+    if name == "bars":
+        return st.lists(st.tuples(instants(), bar_values()).map(lambda r: (r[0], *r[1])),
+                        unique_by=lambda r: r[0], max_size=12)
+    return st.lists(quote_rows(), unique_by=lambda r: r[:3], max_size=12)
+
+
+@st.composite
+def table_files(draw, name):
+    """The bytes of a file for schema ``name``: valid rows in random
+    spellings, blank and quoted-newline records, and up to two faults."""
+    columns = SCHEMAS[name].columns
+    rows = [[draw(st.sampled_from(SPELLINGS[kind](value)))
+             for (_, kind), value in zip(columns, row)] for row in draw(valid_rows(name))]
+    byte_fault = None
+    for _ in range(draw(st.integers(0, 2)) if rows else 0):
+        i = draw(st.integers(0, len(rows) - 1))
+        fault = draw(st.sampled_from(["field", "field", "check", "check", "few", "many",
+                                      "oversized", "utf8", "duplicate"]))
+        j = draw(st.integers(0, len(columns) - 1))
+        if fault in ("field", "check", "oversized") and len(rows[i]) != len(columns):
+            continue  # a field-count fault took this row already
+        if fault == "field":
+            rows[i][j] = draw(st.sampled_from(BAD_FIELDS[columns[j][1]]))
+        elif fault == "check":
+            j, rows[i][j] = draw(st.sampled_from(CHECK_FAULTS[name]))
+        elif fault == "few":
+            rows[i] = rows[i][:-1]
+        elif fault == "many":
+            rows[i] = rows[i] + ["0"]
+        elif fault == "oversized":
+            rows[i][j] = "1" * 131073
+        elif fault == "utf8":
+            byte_fault = i
+        else:
+            rows.insert(i, list(rows[draw(st.integers(0, len(rows) - 1))]))
+    lines = [csv_line(row).encode() for row in rows]
+    if byte_fault is not None:
+        lines[byte_fault] = b"\xff" + lines[byte_fault]
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from([b"\n", b"  \n"])))
+    return csv_line([n for n, _ in columns]).encode() + b"".join(lines)
+
+
+def read_both(name, data):
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / f"{name}.csv"
+        path.write_bytes(data)
+        return assert_readers_agree(path, SCHEMAS[name])
+
+
+@settings(max_examples=300)
+@given(table_files("flows"))
+def test_flows_reader_matches_reference(data):
+    read_both("flows", data)
+
+
+@settings(max_examples=300)
+@given(table_files("bars"))
+def test_bars_reader_matches_reference(data):
+    read_both("bars", data)
+
+
+@settings(max_examples=300)
+@given(table_files("options"))
+def test_options_reader_matches_reference(data):
+    read_both("options", data)
+
+
+def fast_takes(kind, text):
+    try:
+        return bool(kind.fast([text])[1][0])
+    except ValueError:
+        return False
+
+
+@pytest.mark.parametrize("schema,column,text,taken", [
+    ("flows", 2, " 1.5 ", True), ("flows", 2, "1_000", True), ("flows", 2, "١", True),
+    ("flows", 2, "inf", False), ("flows", 2, "-Infinity", False), ("flows", 2, "nan", False),
+    ("flows", 2, "0x1p3", False), ("flows", 2, "1e309", False), ("flows", 2, "-0.0", True),
+    ("flows", 1, "USDTX", False), ("flows", 1, " ETH ", True),
+    ("bars", 0, "0000-01-01T00:00:00Z", False), ("bars", 0, "2020-02-29T00:00:00Z", True),
+    ("bars", 0, "2021-02-29T00:00:00Z", False), ("bars", 0, "2021-01-01 00:00:00Z", False),
+    ("bars", 0, "2021-01-01T00:00:00+00:00", False), ("bars", 0, "2021-01-01T00:00:00Z ", False),
+    ("bars", 0, "12021-01-01T00:00:00Z", False), ("bars", 0, "2021-01-01T00:00:0٠Z", False),
+    ("flows", 0, "2021-01-01T00:30:00Z", False), ("flows", 0, "2021-01-01T01:00:00Z", True),
+])
+def test_fast_path_spellings_match_reference(tmp_path, schema, column, text, taken):
+    template = {"flows": ["2022-05-12T13:00:00Z", "ETH", "1", "0"],
+                "bars": ["2022-01-01T12:00:00Z", "100", "101", "99", "100.5"]}[schema]
+    fields = template[:column] + [text] + template[column + 1:]
+    path = tmp_path / f"{schema}.csv"
+    path.write_text(GOOD[schema] + csv_line(fields), encoding="utf-8")
+    assert_readers_agree(path, SCHEMAS[schema])
+    assert fast_takes(SCHEMAS[schema].columns[column][1], text) is taken
+
+
+def test_fast_timestamps_take_exactly_the_dates_parse_timestamp_accepts():
+    # numpy's datetime parser is the fast path's; fromisoformat is the scalar
+    # path's. Every calendar field out of range on either side must agree.
+    for year in ("0001", "1900", "2000", "2020", "2021", "9999"):
+        for month in range(14):
+            for day in range(33):
+                text = f"{year}-{month:02d}-{day:02d}T00:00:00Z"
+                _assert_fast_agrees(text)
+    for hms in [(h, m, s) for h in (0, 23, 24, 99) for m in (0, 59, 60) for s in (0, 59, 60)]:
+        _assert_fast_agrees("2021-12-31T{:02d}:{:02d}:{:02d}Z".format(*hms))
+
+
+def _assert_fast_agrees(text):
+    try:
+        expected = parse_timestamp(text)
+    except ValueError:
+        expected = None
+    taken = fast_takes(TIMESTAMP, text)
+    assert taken is (expected is not None), text
+    if taken:
+        assert TIMESTAMP.fast([text])[0][0] == expected, text
+
+
+# ---------------------------------------------------------------------------
+# which fault is reported: the first faulty record, then a stream fault
+# ---------------------------------------------------------------------------
+
+def flows_rows(n):
+    return [f"{format_timestamp(1609459200 + 3600 * k)},ETH,{k},0\n" for k in range(n)]
+
+
+@pytest.mark.parametrize("stream", ["few-fields", "oversized", "utf8"])
+@pytest.mark.parametrize("value_row", [5, 350])
+def test_stream_fault_is_reported_only_after_earlier_records(tmp_path, stream, value_row):
+    # A wrong field count, an oversized field or a non-UTF-8 byte on row 300,
+    # and a bad number on an earlier or a later row: the earlier fault wins.
+    rows = flows_rows(400)
+    rows[value_row] = rows[value_row].replace(",ETH,", ",ETH,x")
+    if stream == "few-fields":
+        rows[300] = "2021-02-01T00:00:00Z,ETH,1\n"
+    elif stream == "oversized":
+        rows[300] = "2021-02-01T00:00:00Z,ETH," + "1" * 131073 + ",0\n"
+    data = (FLOWS_HEADER + "".join(rows)).encode()
+    if stream == "utf8":
+        # Past the first 8 KiB, which the decoder reads and checks as one
+        # block, so the records in that block are read before the fault.
+        offset = len((FLOWS_HEADER + "".join(rows[:300])).encode())
+        assert offset > 8192
+        data = data[:offset] + b"\xff" + data[offset:]
+    path = tmp_path / "flows.csv"
+    path.write_bytes(data)
+    got = assert_readers_agree(path, FLOWS)
+    if value_row < 300:
+        assert got == (errors.MalformedRow, f"line {value_row + 2}: bad inflow_usd "
+                       f"'x{value_row}'", value_row + 2)
+    elif stream == "utf8":
+        assert got == (errors.ValidationError, f"{path}: not valid UTF-8", None)
+    else:
+        message = {"few-fields": "expected 4 fields, got 3",
+                   "oversized": "field larger than field limit (131072)"}[stream]
+        assert got == (errors.MalformedRow, f"line 302: {message}", 302)
+
+
+def test_utf8_fault_in_a_block_hides_the_records_before_it_in_that_block(tmp_path):
+    rows = flows_rows(400)
+    rows[290] = rows[290].replace(",ETH,", ",ETH,x")
+    offset = len((FLOWS_HEADER + "".join(rows[:300])).encode())
+    assert len((FLOWS_HEADER + "".join(rows[:290])).encode()) > 8192
+    data = (FLOWS_HEADER + "".join(rows)).encode()
+    path = tmp_path / "flows.csv"
+    path.write_bytes(data[:offset] + b"\xff" + data[offset:])
+    assert assert_readers_agree(path, FLOWS)[0] is errors.ValidationError
