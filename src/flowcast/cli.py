@@ -81,7 +81,8 @@ def _read_text(path: str) -> str:
 
 
 def _load_config(path: str) -> dict:
-    """Flat ``section.key = value`` lines -> click default map."""
+    """Flat ``section.key = value`` lines -> click default map. A section
+    must name a command and a key one of its parameters."""
     defaults: dict[str, dict[str, str]] = {}
     for lineno, raw in enumerate(_read_text(path).split("\n"), start=1):
         line = raw.strip()
@@ -91,8 +92,15 @@ def _load_config(path: str) -> dict:
             raise click.UsageError(
                 f"{path}:{lineno}: expected 'section.key = value', got {line!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        section, name = key.split(".", 1)
-        defaults.setdefault(section, {})[name.replace("-", "_")] = value
+        section, name = (part.strip() for part in key.split(".", 1))
+        name = name.replace("-", "_")
+        command = cli.commands.get(section)
+        if command is None:
+            raise click.UsageError(f"{path}:{lineno}: unknown section {section!r} in {key!r}")
+        if name not in {param.name for param in command.params}:
+            raise click.UsageError(
+                f"{path}:{lineno}: unknown key {key!r}; {section} has no option {name!r}")
+        defaults.setdefault(section, {})[name] = value
     return defaults
 
 

@@ -90,6 +90,18 @@ def detect_extremes(series: NetInflowSeries, k: int,
     return hits
 
 
+def _track(grid: np.ndarray, timestamps: np.ndarray, values: np.ndarray, offset: int,
+           missing: str) -> list[tuple[datetime, float]]:
+    """(t, the value stamped t + offset) for each grid hour t; the first hour
+    without one raises InsufficientCoverage."""
+    i = np.searchsorted(timestamps, grid + offset)
+    found = i < len(timestamps)
+    found[found] = timestamps[i[found]] == grid[found] + offset
+    if not found.all():
+        raise InsufficientCoverage(f"{missing} {format_timestamp(grid[np.argmin(found)])}")
+    return [(to_datetime(t), v) for t, v in zip(grid.tolist(), values[i].tolist())]
+
+
 def extract_window(event: EventHit, flows: FlowSeries, bars: BarSeries,
                    pre: timedelta, post: timedelta) -> CaseWindow:
     """Cut hourly flow and close-price tracks spanning [event-pre, event+post]."""
@@ -104,25 +116,14 @@ def extract_window(event: EventHit, flows: FlowSeries, bars: BarSeries,
     grid = np.arange(t0 - int(pre.total_seconds()),
                      t0 + int(post.total_seconds()) + 1, 3600, dtype=np.int64)
 
-    flow_track = []
-    for t in grid:
-        v = hourly.value_at(int(t))
-        if v is None:
-            raise InsufficientCoverage(f"no net inflow at {format_timestamp(t)}")
-        flow_track.append((to_datetime(t), v))
+    flow_track = _track(grid, hourly.timestamps, hourly.values, 0, "no net inflow at")
 
     # Hourly close of the hour starting at t = close of the last bar in [t, t+1h).
     f_s = int(bars.frequency.total_seconds())
     if 3600 % f_s != 0:
         raise FrequencyMismatch(f"bar frequency {bars.frequency} does not divide 1h")
-    price_track = []
-    for t in grid:
-        want = int(t) + 3600 - f_s
-        i = np.searchsorted(bars.timestamps, want)
-        if i >= len(bars.timestamps) or bars.timestamps[i] != want:
-            raise InsufficientCoverage(f"no bar closing the hour at {format_timestamp(t)}")
-        price_track.append((to_datetime(t), float(bars.close[i])))
-
+    price_track = _track(grid, bars.timestamps, bars.close, 3600 - f_s,
+                         "no bar closing the hour at")
     return CaseWindow(event=event, pre=pre, post=post,
                       flow_track=flow_track, price_track=price_track)
 

@@ -19,6 +19,7 @@ import enum
 import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
@@ -164,6 +165,15 @@ class BarSeries(Sequence[Bar]):
 
     def __len__(self) -> int:
         return len(self.timestamps)
+
+    @cached_property
+    def close_grid(self) -> np.ndarray:
+        """Read-only closes on the dense grid from the first bar, NaN where one is missing."""
+        f_s = int(self.frequency.total_seconds())
+        closes = np.full((int(self.timestamps[-1]) - int(self.timestamps[0])) // f_s + 1, np.nan)
+        closes[(self.timestamps - self.timestamps[0]) // f_s] = self.close
+        closes.flags.writeable = False
+        return closes
 
     def __getitem__(self, i):
         if isinstance(i, slice):

@@ -359,10 +359,16 @@ def grid_to_json(cells: Iterable[HeatmapCell]) -> str:
     return json.dumps([cell_to_dict(c) for c in cells], indent=2) + "\n"
 
 
+_CELL_VALUES = (("target", (TARGET_RETURN, TARGET_VOLATILITY)),
+                ("model", (MODEL_SINGLE, MODEL_DOUBLE)),
+                ("stars", ("",) + tuple(stars for _, stars in _STAR_LEVELS)),
+                ("sign", (SIGN_POSITIVE, SIGN_NEGATIVE, SIGN_INSIGNIFICANT)))
+
+
 def grid_from_json(text: str, source: str = "grid") -> list[HeatmapCell]:
     """The cells of a ``grid_to_json`` text. Text that is not JSON, or not a
-    list of cells whose fields have the right types, raises ValidationError
-    naming ``source``."""
+    list of cells whose fields have the right types and allowed values,
+    raises ValidationError naming ``source``."""
     cells = []
     try:
         for d in json.loads(text):
@@ -375,9 +381,17 @@ def grid_from_json(text: str, source: str = "grid") -> list[HeatmapCell]:
                 stars=d["stars"],
                 sign=d["sign"],
                 error=d.get("error"))
-            if not all(isinstance(v, str) for v in (cell.target, cell.model, cell.stars, cell.sign,
-                                                     "" if cell.error is None else cell.error)):
-                raise TypeError("target, model, stars, sign and error must be strings")
+            if len(d["pair"]) != 2:
+                raise ValueError(f"pair {d['pair']!r} does not have two members")
+            for name, allowed in _CELL_VALUES:
+                if d[name] not in allowed:
+                    raise ValueError(f"{name} {d[name]!r} is not one of {allowed}")
+            if cell.horizon <= timedelta(0):
+                raise ValueError(f"horizon_hours {d['horizon_hours']!r} is not a positive duration")
+            if not (cell.beta1 is None or type(cell.beta1) in (int, float)):
+                raise TypeError(f"beta1 {cell.beta1!r} is not a number")
+            if not isinstance(cell.error, (str, type(None))):
+                raise TypeError("error must be a string")
             cells.append(cell)
     except (ValueError, TypeError, KeyError, IndexError, OverflowError, RecursionError) as exc:
         raise ValidationError(f"{source}: not a heatmap grid ({exc})") from None

@@ -54,12 +54,6 @@ class _HorizonSeries:
     def __len__(self) -> int:
         return len(self.timestamps)
 
-    def value_at(self, epoch: int) -> float | None:
-        i = np.searchsorted(self.timestamps, epoch)
-        if i < len(self.timestamps) and self.timestamps[i] == epoch:
-            return float(self.values[i])
-        return None
-
 
 class NetInflowSeries(_HorizonSeries):
     """Net inflow per horizon bucket, in US$ millions."""
@@ -95,9 +89,8 @@ def net_inflows(flows: FlowSeries, horizon: timedelta) -> NetInflowSeries:
     """
     if len(flows) == 0:
         raise EmptyInput("no flow records")
-    assets = flows.asset_set()
-    if len(assets) != 1:
-        raise MixedAssets(f"expected one asset, got {[a.value for a in assets]}")
+    if not (flows.assets == flows.assets[0]).all():
+        raise MixedAssets(f"expected one asset, got {[a.value for a in flows.asset_set()]}")
     h_s = _seconds(horizon, "horizon")
     if h_s % 3600 != 0:
         raise FrequencyMismatch(f"horizon {horizon} is not a whole number of hours")
@@ -115,36 +108,23 @@ def net_inflows(flows: FlowSeries, horizon: timedelta) -> NetInflowSeries:
     sums = vals[:, 0].copy()
     for j in range(1, hours_per_bucket):
         sums += vals[:, j]
-    return NetInflowSeries(asset=assets[0], horizon=horizon,
+    return NetInflowSeries(asset=Asset(flows.assets[0]), horizon=horizon,
                            timestamps=uniq[full] * h_s,
                            values=sums / USD_PER_MUSD)
 
 
-def _close_grid(bars: BarSeries) -> tuple[int, np.ndarray]:
-    """Closes on the dense frequency grid, NaN where bars are missing."""
-    f_s = _seconds(bars.frequency, "bar frequency")
-    g0 = int(bars.timestamps[0])
-    n = (int(bars.timestamps[-1]) - g0) // f_s + 1
-    closes = np.full(n, np.nan)
-    closes[(bars.timestamps - g0) // f_s] = bars.close
-    return g0, closes
-
-
-def _window_starts(bars: BarSeries, h_s: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """Epoch-aligned window timestamps with full bar coverage of [t-f, t+h-f].
-
-    Returns (window timestamps, grid index of the bar at t-f, grid size).
-    """
+def _window_starts(bars: BarSeries, h_s: int) -> tuple[np.ndarray, np.ndarray]:
+    """Epoch-aligned window timestamps t whose bars [t-f, t+h-f] fall between
+    the first and last bar, and the ``close_grid`` index of the bar at t-f."""
     f_s = _seconds(bars.frequency, "bar frequency")
     g0 = int(bars.timestamps[0])
     last = int(bars.timestamps[-1])
     t_first = -((-(g0 + f_s)) // h_s) * h_s  # ceil to the h grid
     t_last = ((last - h_s + f_s) // h_s) * h_s
     if t_last < t_first:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), 0
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     t = np.arange(t_first, t_last + 1, h_s, dtype=np.int64)
-    a = (t - f_s - g0) // f_s
-    return t, a, (last - g0) // f_s + 1
+    return t, (t - f_s - g0) // f_s
 
 
 def returns(bars: BarSeries, horizon: timedelta) -> ReturnSeries:
@@ -156,8 +136,8 @@ def returns(bars: BarSeries, horizon: timedelta) -> ReturnSeries:
     if len(bars) == 0:
         return ReturnSeries(bars.asset, horizon, np.empty(0, np.int64), np.empty(0))
     nsub = h_s // f_s
-    g0, closes = _close_grid(bars)
-    t, a, _ = _window_starts(bars, h_s)
+    closes = bars.close_grid
+    t, a = _window_starts(bars, h_s)
     if len(t) == 0:
         return ReturnSeries(bars.asset, horizon, np.empty(0, np.int64), np.empty(0))
     present = np.cumsum(~np.isnan(closes))
@@ -190,14 +170,14 @@ def realized_vol(bars: BarSeries, horizon: timedelta,
             f"{horizon} window holds {nsub} sub-bar(s); need at least 2")
     if len(bars) == 0:
         return VolSeries(bars.asset, horizon, np.empty(0, np.int64), np.empty(0))
-    g0, closes = _close_grid(bars)
+    closes = bars.close_grid
     sub_ret = np.full(len(closes), np.nan)
     sub_ret[1:] = closes[1:] / closes[:-1] - 1.0
-    t, a, _ = _window_starts(bars, h_s)
+    t, a = _window_starts(bars, h_s)
     if len(t) == 0:
         return VolSeries(bars.asset, horizon, np.empty(0, np.int64), np.empty(0))
-    idx = (a + 1)[:, None] + np.arange(nsub)[None, :]
-    windows = sub_ret[idx]
+    # Window i holds sub-returns a[i]+1 .. a[i]+nsub, and a steps by nsub.
+    windows = sub_ret[a[0] + 1:a[0] + 1 + len(t) * nsub].reshape(len(t), nsub)
     valid = ~np.isnan(windows).any(axis=1)
     t, windows = t[valid], windows[valid]
     vals = np.std(windows, axis=1, ddof=1) if len(t) else np.empty(0)
@@ -210,7 +190,8 @@ def align(predictor: NetInflowSeries, response: ReturnSeries | VolSeries,
     """Pair predictor(t) (and control(t)) with response(t + horizon).
 
     Only timestamps where all requested points exist survive; the response
-    therefore never precedes its predictor.
+    therefore never precedes its predictor. Series pair by bucket index
+    ``timestamp // horizon``; a timestamp off that grid raises HorizonMismatch.
     """
     if horizon is None:
         horizon = predictor.horizon
@@ -219,18 +200,27 @@ def align(predictor: NetInflowSeries, response: ReturnSeries | VolSeries,
         if s.horizon != horizon:
             raise HorizonMismatch(f"series at {s.horizon}, expected {horizon}")
     h_s = _seconds(horizon, "horizon")
-
-    t = np.intersect1d(predictor.timestamps, response.timestamps - h_s,
-                       assume_unique=True)
-    if control is not None:
-        t = np.intersect1d(t, control.timestamps, assume_unique=True)
-    if len(t) == 0:
+    if any((s.timestamps % h_s).any() for s in pieces):
+        raise HorizonMismatch(f"series has timestamps off the {horizon} grid")
+    buckets = [s.timestamps // h_s for s in pieces]
+    buckets[1] = buckets[1] - 1  # response(t + horizon) pairs with predictor(t)
+    if not all(len(b) for b in buckets):
         raise EmptyAlignment("no overlapping predictor/response timestamps")
 
-    pred = predictor.values[np.searchsorted(predictor.timestamps, t)]
-    resp = response.values[np.searchsorted(response.timestamps, t + h_s)]
-    ctrl = None
-    if control is not None:
-        ctrl = control.values[np.searchsorted(control.timestamps, t)]
-    return AlignedSample(timestamps=t, predictor=pred, response=resp,
-                         control=ctrl, horizon=horizon)
+    # Scatter each series over the span of buckets they share; keep those in all.
+    lo, hi = max(b[0] for b in buckets), min(b[-1] for b in buckets)
+    present = np.ones(max(hi - lo + 1, 0), dtype=bool)
+    dense = []
+    for s, b in zip(pieces, buckets):
+        inside = slice(*np.searchsorted(b, (lo, hi + 1)))
+        at = b[inside] - lo
+        here, values = np.zeros(len(present), bool), np.empty(len(present), s.values.dtype)
+        here[at], values[at] = True, s.values[inside]
+        present &= here
+        dense.append(values)
+    rows = np.flatnonzero(present)
+    if len(rows) == 0:
+        raise EmptyAlignment("no overlapping predictor/response timestamps")
+    ctrl = dense[2][rows] if control is not None else None
+    return AlignedSample(timestamps=(rows + lo) * h_s, predictor=dense[0][rows],
+                         response=dense[1][rows], control=ctrl, horizon=horizon)

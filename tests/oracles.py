@@ -2,12 +2,14 @@
 
 Everything here is deliberately written the slow, obvious way, without
 reusing any code path from the package under test: explicit loops,
-explicit Gaussian elimination, numeric quadrature. There are two
+explicit Gaussian elimination, numeric quadrature. There are three
 exceptions. ``reference_backtest`` re-implements only the quote lookup and
 shares the trade accounting and the bucket aggregation with the package.
 ``reference_read_table`` is the row-at-a-time CSV reader: it shares the
 schemas and the scalar converters and checks (``check_row``) with the
 package, and re-implements the reading loop and the order of its faults.
+``reference_align`` is the timestamp-matching ``align``: it shares the
+sample type and the errors with the package.
 """
 
 import csv
@@ -16,7 +18,7 @@ import math
 import numpy as np
 from scipy.integrate import quad
 
-from flowcast.errors import MalformedRow, ValidationError
+from flowcast.errors import EmptyAlignment, HorizonMismatch, MalformedRow, ValidationError
 from flowcast.ingest import check_row
 from flowcast.options import (
     WTL_COUNTS,
@@ -26,6 +28,7 @@ from flowcast.options import (
     select_percentile_hours,
     trade,
 )
+from flowcast.series import AlignedSample, _seconds
 
 
 def bucket_sums(timestamps, nets_musd, horizon_s):
@@ -64,8 +67,13 @@ def two_pass_std(xs):
     return math.sqrt(sum((x - mean) ** 2 for x in xs) / (n - 1))
 
 
-def window_vols(bar_ts, closes, freq_s, horizon_s):
-    """Realized vol per window: sub-bar close-to-close returns, two-pass std."""
+def numpy_std(xs):
+    """``np.std`` with the n-1 denominator over a fresh copy of one window."""
+    return float(np.std(np.array(xs, dtype=np.float64), ddof=1))
+
+
+def window_vols(bar_ts, closes, freq_s, horizon_s, std=two_pass_std):
+    """Realized vol per window: sub-bar close-to-close returns, ``std`` of them."""
     close_at = dict(zip((int(t) for t in bar_ts), closes))
     nsub = horizon_s // freq_s
     out = {}
@@ -76,7 +84,7 @@ def window_vols(bar_ts, closes, freq_s, horizon_s):
         if all(w in close_at for w in needed):
             subs = [close_at[needed[j + 1]] / close_at[needed[j]] - 1.0
                     for j in range(nsub)]
-            out[t] = two_pass_std(subs)
+            out[t] = std(subs)
         t += horizon_s
     return out
 
@@ -265,3 +273,30 @@ def reference_read_table(path, schema):
         raise schema.duplicate(", ".join(schema.columns[j][1].format(columns[j][i:i + 1])[0]
                                          for j in schema.key))
     return columns
+
+
+def reference_align(predictor, response, control=None, horizon=None):
+    """Pair predictor(t) (and control(t)) with response(t + horizon) by
+    intersecting the timestamps and looking each one up by binary search."""
+    if horizon is None:
+        horizon = predictor.horizon
+    pieces = [predictor, response] + ([control] if control is not None else [])
+    for s in pieces:
+        if s.horizon != horizon:
+            raise HorizonMismatch(f"series at {s.horizon}, expected {horizon}")
+    h_s = _seconds(horizon, "horizon")
+
+    t = np.intersect1d(predictor.timestamps, response.timestamps - h_s,
+                       assume_unique=True)
+    if control is not None:
+        t = np.intersect1d(t, control.timestamps, assume_unique=True)
+    if len(t) == 0:
+        raise EmptyAlignment("no overlapping predictor/response timestamps")
+
+    pred = predictor.values[np.searchsorted(predictor.timestamps, t)]
+    resp = response.values[np.searchsorted(response.timestamps, t + h_s)]
+    ctrl = None
+    if control is not None:
+        ctrl = control.values[np.searchsorted(control.timestamps, t)]
+    return AlignedSample(timestamps=t, predictor=pred, response=resp,
+                         control=ctrl, horizon=horizon)

@@ -271,6 +271,22 @@ def test_config_file_supplies_defaults(dataset, tmp_path, capsys):
     assert len((out2 / "events.csv").read_text().strip().split("\n")) == 3
 
 
+@pytest.mark.parametrize("line,key", [
+    ("evnts.k = 4", "'evnts.k'"),
+    ("events.kk = 3", "'events.kk'"),
+], ids=["unknown-section", "unknown-key"])
+def test_config_rejects_unknown_section_or_key(dataset, tmp_path, capsys, line, key):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"# comment line\n{line}\n")
+    out = tmp_path / "events_cfg"
+    code = main(["--config", str(cfg), "events", "--flows", str(dataset / "flows.csv"),
+                 "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{cfg}:2: unknown " in err and key in err
+    assert not out.exists()
+
+
 def test_validation_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("timestamp,asset,inflow_usd,outflow_usd\n"
@@ -299,3 +315,46 @@ def test_bad_grid_or_config_is_a_validation_error(tmp_path, capsys, flag, data, 
     err = capsys.readouterr().err
     assert err.startswith(f"validation error: {bad}: {reason}")
     assert "Traceback" not in err
+
+
+def _one_cell(**fields) -> bytes:
+    cell = {"pair": ["USDT", "ETH"], "target": "return", "horizon_hours": 1,
+            "model": "single", "beta1": 1.0, "stars": "", "sign": "insignificant"}
+    return json.dumps([{**cell, **fields}]).encode()
+
+
+@pytest.mark.parametrize("data,reason", [
+    (_one_cell(pair=["USDT"]), "list index out of range"),
+    (_one_cell(pair=["USDT", "ETH", "BTC"]), "pair ['USDT', 'ETH', 'BTC'] does not have"),
+    (_one_cell(target="price"), "target 'price' is not one of"),
+    (_one_cell(model="triple"), "model 'triple' is not one of"),
+    (_one_cell(horizon_hours=-1.5), "horizon_hours -1.5 is not a positive duration"),
+    (_one_cell(horizon_hours=0), "horizon_hours 0 is not a positive duration"),
+    (_one_cell(horizon_hours=float("inf")), "cannot convert float infinity"),
+    (_one_cell(horizon_hours=float("nan")), "cannot convert float NaN"),
+    (_one_cell(stars="nonsense"), "stars 'nonsense' is not one of"),
+    (_one_cell(sign="up"), "sign 'up' is not one of"),
+    (_one_cell(beta1="oops"), "beta1 'oops' is not a number"),
+], ids=["pair-one", "pair-three", "target", "model", "horizon-negative", "horizon-zero",
+        "horizon-inf", "horizon-nan", "stars", "sign", "beta1"])
+def test_grid_cell_with_a_bad_value_is_a_validation_error(tmp_path, capsys, data, reason):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(data)
+    assert main(["report", "--grid", str(bad), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"validation error: {bad}: not a heatmap grid ({reason}")
+    assert not (tmp_path / "o").exists()
+
+
+def test_report_loads_every_grid_regress_writes(dataset, tmp_path):
+    # The 24h/168h grid of a 400-hour dataset is all failed cells, with null beta1.
+    grid_dir = tmp_path / "grid"
+    assert main(["regress", "--flows", str(dataset / "flows.csv"),
+                 "--bars-eth", str(dataset / "bars_eth.csv"),
+                 "--bars-btc", str(dataset / "bars_btc.csv"),
+                 "--daily-weekly", "--out", str(grid_dir)]) == 0
+    for name in ("grid", "grid_daily_weekly"):
+        render = tmp_path / f"render_{name}"
+        assert main(["report", "--grid", str(grid_dir / f"{name}.json"),
+                     "--out", str(render)]) == 0
+        assert (render / "grid.tsv").read_bytes() == (grid_dir / f"{name}.tsv").read_bytes()

@@ -8,8 +8,8 @@ from scipy import stats
 
 import oracles
 from conftest import T0
-from flowcast import errors
-from flowcast.ingest import Asset
+from flowcast import errors, regress
+from flowcast.ingest import Asset, BarSeries, FlowSeries
 from flowcast.regress import (
     DEFAULT_PAIRS,
     MODEL_DOUBLE,
@@ -235,6 +235,26 @@ def test_run_grid_deterministic_serialization():
     assert tsv == grid_to_tsv(grid_from_json(a))
     assert tsv.splitlines()[0].startswith("horizon\tmodel\t")
     assert len(tsv.splitlines()) == 11  # header + 5 horizons x 2 models
+
+
+def test_run_grid_on_gappy_market_matches_reference_align(monkeypatch):
+    rng = np.random.default_rng(44)
+    market = _planted_market(hours=3000)
+    flows = {}
+    for asset, f in market.flows.items():
+        keep = rng.random(len(f)) >= 0.02
+        flows[asset] = FlowSeries(f.timestamps[keep], f.assets[keep], f.inflow_usd[keep],
+                                  f.outflow_usd[keep])
+    bars = {}
+    for asset, b in market.bars.items():
+        keep = rng.random(len(b)) >= 0.003
+        bars[asset] = BarSeries(b.timestamps[keep], b.open[keep], b.high[keep], b.low[keep],
+                                b.close[keep], b.frequency, b.asset)
+    gappy = MarketData(flows=flows, bars=bars)
+    cells = run_grid(gappy)
+    assert sum(c.error is None for c in cells) > 60
+    monkeypatch.setattr(regress, "align", oracles.reference_align)
+    assert grid_to_json(run_grid(gappy)) == grid_to_json(cells)
 
 
 def test_white_noise_star_fraction():

@@ -1,12 +1,17 @@
+import re
 from datetime import timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import T0, make_bars, make_flows
 from flowcast import errors
-from flowcast.series import align, net_inflows, realized_vol, returns
+from flowcast.ingest import Asset
+from flowcast.series import (NetInflowSeries, ReturnSeries, VolSeries, align, net_inflows,
+                             realized_vol, returns)
 
 H1 = timedelta(hours=1)
 H2 = timedelta(hours=2)
@@ -54,8 +59,9 @@ def test_net_inflow_bucket_additivity(rng):
     flows = make_flows(rng.normal(0, 3, size=50), gaps=(7, 20))
     one = net_inflows(flows, H1)
     two = net_inflows(flows, H2)
+    one_at = dict(zip(one.timestamps.tolist(), one.values.tolist()))
     for t, v in zip(two.timestamps, two.values):
-        parts = [one.value_at(int(t)), one.value_at(int(t) + 3600)]
+        parts = [one_at.get(int(t)), one_at.get(int(t) + 3600)]
         assert None not in parts
         assert v == pytest.approx(sum(parts), rel=1e-15)
 
@@ -156,6 +162,28 @@ def test_vol_sub_frequency_must_match_bars():
         realized_vol(make_bars([1.0, 1.0, 1.0]), H1, M5)
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_series_match_window_loops_on_gappy_bars(seed):
+    rng = np.random.default_rng(seed)
+    n = 3000
+    closes = 100.0 * np.exp(np.cumsum(rng.normal(0, 0.002, size=n)))
+    # The first bar is never dropped and sits off every horizon grid.
+    start = T0 + 300 * int(rng.integers(1, 12))
+    gaps = set(rng.choice(np.arange(1, n), size=n // 150, replace=False).tolist())
+    bars = make_bars(closes, frequency=M5, start=start, gaps=gaps)
+    for hours in (1, 2, 3, 4, 6):
+        h_s = 3600 * hours
+        for got, want in (
+                (returns(bars, timedelta(hours=hours)),
+                 oracles.forward_returns(bars.timestamps, bars.close, 300, h_s)),
+                (realized_vol(bars, timedelta(hours=hours), M5),
+                 oracles.window_vols(bars.timestamps, bars.close, 300, h_s,
+                                     std=oracles.numpy_std))):
+            assert 0 < len(want) < (n * 300) // h_s
+            assert got.timestamps.tolist() == list(want)
+            assert [v.hex() for v in got.values.tolist()] == [v.hex() for v in want.values()]
+
+
 def test_return_composition_over_sub_bars(rng):
     closes = 300.0 * np.exp(np.cumsum(rng.normal(0, 0.003, size=72)))
     bars = make_bars(closes, frequency=M5)
@@ -236,3 +264,60 @@ def test_align_response_never_precedes_predictor(rng):
     # response timestamp = predictor timestamp + horizon > predictor timestamp
     assert sample.horizon.total_seconds() > 0
     assert sample.n > 0
+
+
+@st.composite
+def _align_inputs(draw):
+    """Predictor, response and optional control at one horizon, with random
+    gaps, empty, single-point or disjoint series, and at most one
+    timestamp moved off the horizon grid."""
+    h_s = 3600 * draw(st.sampled_from((1, 2, 3, 4, 6)))
+    horizon = timedelta(seconds=h_s)
+
+    def series(cls, shift=0):
+        kind = draw(st.sampled_from(("gappy",) * 6 + ("empty", "single")))
+        if kind == "empty":
+            buckets = []
+        elif kind == "single":
+            buckets = [draw(st.integers(0, 12))]
+        else:
+            dropped = draw(st.sets(st.integers(0, 39), max_size=30))
+            buckets = [b for b in range(draw(st.integers(8, 40))) if b not in dropped]
+        ts = np.array([T0 + h_s * (b + shift) for b in buckets], dtype=np.int64)
+        values = draw(st.lists(st.floats(width=64), min_size=len(ts), max_size=len(ts)))
+        return cls(Asset.ETH, horizon, ts, np.array(values, dtype=np.float64))
+
+    pieces = [series(NetInflowSeries),
+              series(ReturnSeries, shift=draw(st.sampled_from((0,) * 6 + (100, -100))))]
+    control = draw(st.sampled_from(("other", "response", "none")))
+    if control == "other":
+        pieces.append(series(VolSeries))
+    off_grid = draw(st.booleans()) and any(len(p) for p in pieces)
+    if off_grid:
+        victim = draw(st.sampled_from([p for p in pieces if len(p)]))
+        victim.timestamps[draw(st.integers(0, len(victim) - 1))] += draw(st.integers(1, h_s - 1))
+    ctrl = pieces[1] if control == "response" else (pieces[2] if control == "other" else None)
+    return pieces[0], pieces[1], ctrl, off_grid
+
+
+@settings(max_examples=400)
+@given(_align_inputs())
+def test_align_matches_reference_align(case):
+    pred, resp, ctrl, off_grid = case
+    if off_grid:
+        with pytest.raises(errors.HorizonMismatch, match="off the"):
+            align(pred, resp, control=ctrl)
+        return
+    try:
+        want = oracles.reference_align(pred, resp, control=ctrl)
+    except errors.FlowcastError as exc:
+        with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+            align(pred, resp, control=ctrl)
+        return
+    got = align(pred, resp, control=ctrl)
+    assert got.horizon == want.horizon
+    assert (got.control is None) == (want.control is None)
+    for name in ("timestamps", "predictor", "response", "control"):
+        a, b = getattr(got, name), getattr(want, name)
+        if b is not None:
+            assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes()), name
