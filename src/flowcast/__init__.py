@@ -15,9 +15,7 @@ from .errors import (
 from .events import CaseWindow, EventHit, detect_extremes, extract_window, threshold_percentile
 from .ingest import (
     Asset,
-    Bar,
     BarSeries,
-    FlowRecord,
     FlowSeries,
     OptionQuote,
     QuoteSeries,
@@ -36,7 +34,6 @@ from .options import (
     initial_capital,
     net_pnl,
     otm_range,
-    percentile_backtest,
     trade,
 )
 from .regress import (
@@ -71,7 +68,7 @@ from .synth import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Asset", "Bar", "BarSeries", "FlowRecord", "FlowSeries", "OptionQuote",
+    "Asset", "BarSeries", "FlowSeries", "OptionQuote",
     "QuoteSeries", "parse_bars", "parse_flows", "parse_option_quotes",
     "NetInflowSeries", "ReturnSeries", "VolSeries", "AlignedSample",
     "net_inflows", "returns", "realized_vol", "align",
@@ -81,7 +78,7 @@ __all__ = [
     "threshold_percentile",
     "CostParams", "TradeOutcome", "BucketKey", "BucketStats", "call_price",
     "trade", "net_pnl", "breakeven_slippage", "otm_range", "initial_capital",
-    "bucket_stats", "percentile_backtest",
+    "bucket_stats",
     "SynthConfig", "OptionChainSpec", "GridPlants", "gen_flows_and_prices",
     "gen_option_chain", "gen_market",
     "FlowcastError", "ValidationError", "EstimationError",

@@ -163,11 +163,8 @@ def ingest_check(flows, bars, bar_frequency_minutes, options_path):
         click.echo(f"bars: {len(series)} rows, {len(gaps)} gap(s)")
     if options_path:
         quotes = ingest.parse_option_quotes(options_path)
-        order = np.lexsort((quotes.expiries, quotes.strikes))
-        strikes, expiries = quotes.strikes[order], quotes.expiries[order]
-        changes = (strikes[1:] != strikes[:-1]) | (expiries[1:] != expiries[:-1])
-        instruments = int(np.count_nonzero(changes)) + (len(quotes) > 0)
-        click.echo(f"options: {len(quotes)} quotes, {instruments} instruments")
+        _, ids = quotes.instruments()
+        click.echo(f"options: {len(quotes)} quotes, {ids.max(initial=-1) + 1} instruments")
 
 
 @cli.command("regress")
@@ -264,7 +261,7 @@ def cmd_events(flows, asset, k, years, most_negative, bars, bar_frequency_minute
         for i, hit in enumerate(hits, start=1):
             try:
                 window = events_mod.extract_window(
-                    hit, flow_series, bar_series,
+                    hit, hourly, bar_series,
                     pre=timedelta(hours=window_pre_hours),
                     post=timedelta(hours=window_post_hours))
             except FlowcastError as exc:

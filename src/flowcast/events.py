@@ -14,9 +14,9 @@ from datetime import datetime, timedelta
 import numpy as np
 
 from .errors import EmptyYear, FrequencyMismatch, InsufficientCoverage
-from .ingest import (ASSET, INTEGER, NUMBER, TIMESTAMP, Asset, BarSeries, FlowSeries,
-                     format_timestamp, to_datetime, write_table)
-from .series import HOUR, NetInflowSeries, net_inflows
+from .ingest import (ASSET, INTEGER, NUMBER, TIMESTAMP, Asset, BarSeries, format_timestamp,
+                     to_datetime, write_table)
+from .series import HOUR, NetInflowSeries
 
 EVENTS_COLUMNS = (("asset", ASSET), ("timestamp", TIMESTAMP), ("net_inflow_musd", NUMBER),
                   ("year", INTEGER), ("rank", INTEGER))
@@ -102,15 +102,16 @@ def _track(grid: np.ndarray, timestamps: np.ndarray, values: np.ndarray, offset:
     return [(to_datetime(t), v) for t, v in zip(grid.tolist(), values[i].tolist())]
 
 
-def extract_window(event: EventHit, flows: FlowSeries, bars: BarSeries,
+def extract_window(event: EventHit, hourly: NetInflowSeries, bars: BarSeries,
                    pre: timedelta, post: timedelta) -> CaseWindow:
-    """Cut hourly flow and close-price tracks spanning [event-pre, event+post]."""
+    """Cut the event asset's hourly net-inflow track and its close-price
+    track, spanning [event-pre, event+post]."""
     if pre < timedelta(0) or post < timedelta(0):
         raise InsufficientCoverage("pre and post must be non-negative")
-    asset_flows = flows.select(event.asset)
-    if len(asset_flows) == 0:
+    if hourly.asset != event.asset:
         raise InsufficientCoverage(f"no flows for {event.asset.value}")
-    hourly = net_inflows(asset_flows, HOUR)
+    if hourly.horizon != HOUR:
+        raise FrequencyMismatch(f"case windows cut 1h series, got {hourly.horizon}")
 
     t0 = int(event.timestamp.timestamp())
     grid = np.arange(t0 - int(pre.total_seconds()),

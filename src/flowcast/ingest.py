@@ -67,32 +67,6 @@ def format_number(x: float) -> str:
 
 
 @dataclass(frozen=True)
-class FlowRecord:
-    """One asset's exchange inflow/outflow observation for one hour, in USD."""
-
-    timestamp: datetime
-    asset: Asset
-    inflow_usd: float
-    outflow_usd: float
-
-    @property
-    def net_usd(self) -> float:
-        return self.inflow_usd - self.outflow_usd
-
-
-@dataclass(frozen=True)
-class Bar:
-    """OHLC price bar; ``timestamp`` is the bar open, prices in USD."""
-
-    timestamp: datetime
-    open: float
-    high: float
-    low: float
-    close: float
-    frequency: timedelta
-
-
-@dataclass(frozen=True)
 class OptionQuote:
     """A call-option quote; ``option_price`` is in units of the underlying."""
 
@@ -109,7 +83,7 @@ class OptionQuote:
         return (self.strike, self.expiry)
 
 
-class FlowSeries(Sequence[FlowRecord]):
+class FlowSeries:
     """Flow records sorted by (asset, timestamp), stored column-wise."""
 
     def __init__(self, timestamps: np.ndarray, assets: np.ndarray,
@@ -125,13 +99,6 @@ class FlowSeries(Sequence[FlowRecord]):
     def __len__(self) -> int:
         return len(self.timestamps)
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return FlowSeries(self.timestamps[i], self.assets[i],
-                              self.inflow_usd[i], self.outflow_usd[i])
-        return FlowRecord(to_datetime(self.timestamps[i]), Asset(self.assets[i]),
-                          float(self.inflow_usd[i]), float(self.outflow_usd[i]))
-
     @property
     def net_usd(self) -> np.ndarray:
         return self.inflow_usd - self.outflow_usd
@@ -145,7 +112,7 @@ class FlowSeries(Sequence[FlowRecord]):
                           self.inflow_usd[mask], self.outflow_usd[mask])
 
 
-class BarSeries(Sequence[Bar]):
+class BarSeries:
     """Bars at one fixed frequency, sorted by timestamp.
 
     ``asset`` is an optional label carried for bookkeeping; the CSV schema
@@ -175,16 +142,8 @@ class BarSeries(Sequence[Bar]):
         closes.flags.writeable = False
         return closes
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return BarSeries(self.timestamps[i], self.open[i], self.high[i],
-                             self.low[i], self.close[i], self.frequency, self.asset)
-        return Bar(to_datetime(self.timestamps[i]), float(self.open[i]),
-                   float(self.high[i]), float(self.low[i]), float(self.close[i]),
-                   self.frequency)
 
-
-class QuoteSeries(Sequence[OptionQuote]):
+class QuoteSeries:
     """Option quotes sorted by quote_time, then (strike, expiry)."""
 
     def __init__(self, quote_times: np.ndarray, strikes: np.ndarray,
@@ -202,15 +161,14 @@ class QuoteSeries(Sequence[OptionQuote]):
     def __len__(self) -> int:
         return len(self.quote_times)
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return QuoteSeries(self.quote_times[i], self.strikes[i], self.expiries[i],
-                               self.option_prices[i], self.index_prices[i],
-                               self.implied_vols[i], self.deltas[i])
-        return OptionQuote(to_datetime(self.quote_times[i]), float(self.strikes[i]),
-                           to_datetime(self.expiries[i]), float(self.option_prices[i]),
-                           float(self.index_prices[i]), float(self.implied_vols[i]),
-                           float(self.deltas[i]))
+    def instruments(self) -> tuple[np.ndarray, np.ndarray]:
+        """(order, ids): the stable sort by (strike, expiry), which keeps each
+        instrument's quotes in time order, and each sorted quote's instrument, from 0."""
+        order = np.lexsort((self.expiries, self.strikes))
+        strikes, expiries = self.strikes[order], self.expiries[order]
+        new = np.ones(len(order), dtype=bool)
+        new[1:] = (strikes[1:] != strikes[:-1]) | (expiries[1:] != expiries[:-1])
+        return order, np.cumsum(new) - 1
 
 
 class Kind(NamedTuple):

@@ -14,6 +14,13 @@ Costs are charged against the entry index price at a fixed rate
 premium + hedge*delta + half_spread + slippage; the net portfolio return
 divides net PnL by the initial capital (0.3 + delta) * index, and a trade
 wins when that return is positive.
+
+``trade_fields`` is the one copy of this arithmetic. ``trade`` applies it
+to two ``OptionQuote``s; the backtest applies it to the columns of every
+matched (entry, exit) pair at once, so a trade there is an array element,
+not an object. It uses only IEEE + - * /, so each element holds the same
+bits as the scalar trade. Report buckets are masks over the entry implied
+vol and moneyness columns.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from __future__ import annotations
 import io
 import math
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import timedelta
 
 import numpy as np
@@ -83,18 +90,41 @@ def call_price(q: OptionQuote) -> float:
     return q.option_price * q.index_price
 
 
-def otm_range(strike: float, index: float) -> float:
-    """Signed fractional moneyness (strike - index) / index."""
-    if index <= 0:
-        raise InvalidConfig(f"index price must be positive, got {index}")
+def otm_range(strike: float | np.ndarray, index: float | np.ndarray) -> float | np.ndarray:
+    """Signed fractional moneyness (strike - index) / index, of floats or arrays."""
+    if np.any(index <= 0):
+        raise InvalidConfig(f"index price must be positive, got {np.min(index)}")
     return (strike - index) / index
 
 
-def initial_capital(delta: float, index: float) -> float:
-    """Capital posted per trade: (0.3 + delta) * index."""
-    if index <= 0:
-        raise InvalidConfig(f"index price must be positive, got {index}")
+def initial_capital(delta: float | np.ndarray,
+                    index: float | np.ndarray) -> float | np.ndarray:
+    """Capital posted per trade: (0.3 + delta) * index, of floats or arrays."""
+    if np.any(index <= 0):
+        raise InvalidConfig(f"index price must be positive, got {np.min(index)}")
     return (MARGIN_FACTOR + delta) * index
+
+
+def trade_fields(p_entry, p_exit, index_entry, index_exit, delta, side: str,
+                 costs: CostParams) -> dict:
+    """``TradeOutcome``'s PnL and return fields from the entry and exit call
+    prices and index prices and the hedge delta, as floats or as arrays."""
+    if side not in (SIDE_SELL, SIDE_BUY):
+        raise InvalidConfig(f"side must be {SIDE_SELL} or {SIDE_BUY}, got {side!r}")
+    capital = initial_capital(delta, index_entry)
+    pnl_option = p_entry - p_exit
+    r_option = pnl_option / p_entry
+    if side == SIDE_BUY:
+        pnl_option, r_option = -pnl_option, -r_option
+    index_move = index_exit - index_entry
+    pnl_underlying = index_move * delta
+    r_underlying = (index_move / index_entry) * delta
+    pnl_portfolio = pnl_option + pnl_underlying
+    pnl_net = pnl_portfolio - costs.rate(delta) * index_entry
+    return dict(pnl_option=pnl_option, pnl_underlying=pnl_underlying,
+                pnl_portfolio=pnl_portfolio, pnl_net=pnl_net, r_option=r_option,
+                r_underlying=r_underlying, r_portfolio=r_option + r_underlying,
+                r_portfolio_net=pnl_net / capital)
 
 
 def trade(entry: OptionQuote, exit: OptionQuote, side: str,
@@ -105,8 +135,6 @@ def trade(entry: OptionQuote, exit: OptionQuote, side: str,
     ``delta_hedge`` defaults to the entry quote's delta. ``costs`` default
     to zero, in which case the net fields equal the gross ones.
     """
-    if side not in (SIDE_SELL, SIDE_BUY):
-        raise InvalidConfig(f"side must be {SIDE_SELL} or {SIDE_BUY}, got {side!r}")
     if entry.instrument != exit.instrument:
         raise InstrumentMismatch(
             f"entry {entry.instrument} vs exit {exit.instrument}")
@@ -116,40 +144,15 @@ def trade(entry: OptionQuote, exit: OptionQuote, side: str,
     if p_entry <= 0:
         raise ZeroEntryPrice("entry call price must be positive")
     delta = entry.delta if delta_hedge is None else delta_hedge
-
-    pnl_sell = p_entry - call_price(exit)
-    r_sell = pnl_sell / p_entry
-    pnl_option = pnl_sell if side == SIDE_SELL else -pnl_sell
-    r_option = r_sell if side == SIDE_SELL else -r_sell
-
-    index_move = exit.index_price - entry.index_price
-    pnl_underlying = index_move * delta
-    r_underlying = (index_move / entry.index_price) * delta
-
-    pnl_portfolio = pnl_option + pnl_underlying
-    r_portfolio = r_option + r_underlying
-
-    c = ZERO_COSTS if costs is None else costs
-    pnl_net = pnl_portfolio - c.rate(delta) * entry.index_price
-    r_portfolio_net = pnl_net / initial_capital(delta, entry.index_price)
+    fields = trade_fields(p_entry, call_price(exit), entry.index_price, exit.index_price,
+                          delta, side, ZERO_COSTS if costs is None else costs)
     return TradeOutcome(entry=entry, exit=exit, side=side, delta_hedge=delta,
-                        pnl_option=pnl_option, pnl_underlying=pnl_underlying,
-                        pnl_portfolio=pnl_portfolio, pnl_net=pnl_net,
-                        r_option=r_option, r_underlying=r_underlying,
-                        r_portfolio=r_portfolio, r_portfolio_net=r_portfolio_net,
-                        win=r_portfolio_net > 0)
+                        win=fields["r_portfolio_net"] > 0, **fields)
 
 
 def net_pnl(t: TradeOutcome, c: CostParams) -> float:
     """Net PnL under cost parameters c, from the trade's gross PnL."""
     return t.pnl_portfolio - c.rate(t.delta_hedge) * t.entry.index_price
-
-
-def apply_costs(t: TradeOutcome, c: CostParams) -> TradeOutcome:
-    """Re-derive the net fields of a trade under different cost parameters."""
-    pnl = net_pnl(t, c)
-    r_net = pnl / initial_capital(t.delta_hedge, t.entry.index_price)
-    return replace(t, pnl_net=pnl, r_portfolio_net=r_net, win=r_net > 0)
 
 
 def breakeven_slippage(t: TradeOutcome, c: CostParams) -> float:
@@ -181,18 +184,17 @@ class BucketKey:
     otm_lo: float | None = None
     otm_hi: float | None = None
 
-    def matches(self, t: TradeOutcome) -> bool:
-        if self.iv_min is not None and not t.entry.implied_vol >= self.iv_min:
-            return False
-        if self.iv_max is not None and not t.entry.implied_vol < self.iv_max:
-            return False
-        if self.otm_lo is not None or self.otm_hi is not None:
-            m = otm_range(t.entry.strike, t.entry.index_price)
-            if self.otm_lo is not None and not m >= self.otm_lo:
-                return False
-            if self.otm_hi is not None and not m < self.otm_hi:
-                return False
-        return True
+    def mask(self, implied_vol: np.ndarray, moneyness: np.ndarray) -> np.ndarray:
+        """Which trades, given by their entry implied vol and moneyness, fall in
+        the bucket; a NaN falls in no bounded interval."""
+        mask = np.ones(len(implied_vol), dtype=bool)
+        for values, bound, inside in ((implied_vol, self.iv_min, np.greater_equal),
+                                      (implied_vol, self.iv_max, np.less),
+                                      (moneyness, self.otm_lo, np.greater_equal),
+                                      (moneyness, self.otm_hi, np.less)):
+            if bound is not None:
+                mask &= inside(values, bound)
+        return mask
 
     def label(self) -> str:
         parts = [f"{self.leg}{format_number(self.pct * 100).rstrip('0').rstrip('.')}%"]
@@ -236,32 +238,33 @@ def table_buckets(leg: str, pct: float,
     return buckets
 
 
-def bucket_stats(trades: list[TradeOutcome], key: BucketKey,
-                 wtl_mode: str = WTL_COUNTS) -> BucketStats:
+def bucket_stats(implied_vol: np.ndarray, moneyness: np.ndarray, r_net: np.ndarray,
+                 key: BucketKey, wtl_mode: str = WTL_COUNTS) -> BucketStats:
     """Win rate, win-to-loss ratio, and net-return aggregates for one bucket.
 
-    WtL is the win/loss *count* ratio by default; ``wtl_mode="pnl"`` uses
-    the ratio of summed winning to summed losing net returns instead.
-    Undefined ratios (no trades, or no losses) are reported as None.
+    The trades are columns: entry implied vol, entry moneyness and net
+    portfolio return. A trade wins when its net return is positive. WtL is
+    the win/loss *count* ratio by default; ``wtl_mode="pnl"`` uses the ratio
+    of summed winning to summed losing net returns instead. Undefined ratios
+    (no trades, or no losses) are reported as None.
     """
-    selected = [t for t in trades if key.matches(t)]
+    selected = r_net[key.mask(implied_vol, moneyness)]
     total = len(selected)
     if total == 0:
         return BucketStats(win_rate=None, total_trades=0, wtl=None,
                            r_avg_net=None, r_total_net=0.0)
-    wins = [t for t in selected if t.win]
-    losses = [t for t in selected if not t.win]
+    win = selected > 0
+    wins = int(np.count_nonzero(win))
     if wtl_mode == WTL_COUNTS:
-        wtl = len(wins) / len(losses) if losses else None
+        wtl = wins / (total - wins) if wins < total else None
     elif wtl_mode == WTL_PNL:
-        loss_sum = abs(math.fsum(t.r_portfolio_net for t in losses))
-        wtl = (math.fsum(t.r_portfolio_net for t in wins) / loss_sum
-               if loss_sum > 0 else None)
+        loss_sum = abs(math.fsum(selected[~win].tolist()))
+        wtl = math.fsum(selected[win].tolist()) / loss_sum if loss_sum > 0 else None
     else:
         raise InvalidConfig(f"wtl_mode must be '{WTL_COUNTS}' or '{WTL_PNL}'")
     # fsum is exactly rounded, so the stats cannot depend on trade order
-    total_net = math.fsum(t.r_portfolio_net for t in selected)
-    return BucketStats(win_rate=len(wins) / total, total_trades=total, wtl=wtl,
+    total_net = math.fsum(selected.tolist())
+    return BucketStats(win_rate=wins / total, total_trades=total, wtl=wtl,
                        r_avg_net=total_net / total, r_total_net=total_net)
 
 
@@ -324,12 +327,8 @@ def run_percentile_backtest(net_series: NetInflowSeries, quotes: QuoteSeries,
     if (np.diff(qt) < 0).any():
         raise InvalidConfig("option quotes must be sorted by quote_time")
 
-    # Instrument id of every quote, numbered in (strike, expiry) order. The
-    # sort is stable, so each instrument's quotes stay in time order.
-    by_inst = np.lexsort((quotes.expiries, quotes.strikes))
-    strikes, expiries = quotes.strikes[by_inst], quotes.expiries[by_inst]
-    changes = (strikes[1:] != strikes[:-1]) | (expiries[1:] != expiries[:-1])
-    inst_by = np.concatenate(([0], np.cumsum(changes)))
+    # Instrument id of every quote (inst) and of the quotes in by_inst order.
+    by_inst, inst_by = quotes.instruments()
     inst = np.empty_like(inst_by)
     inst[by_inst] = inst_by
     n_inst = int(inst_by[-1]) + 1
@@ -360,25 +359,20 @@ def run_percentile_backtest(net_series: NetInflowSeries, quotes: QuoteSeries,
     diag = BacktestDiagnostics(
         events=len(events), unmatched_entries=len(events) * n_inst - len(entry),
         unmatched_exits=int((~has_exit).sum()), zero_price_skips=int(zero_price.sum()))
-    trades = [trade(quotes[i], quotes[j], side, costs=costs)
-              for i, j in zip(entry[keep].tolist(), exit_[keep].tolist())]
-    diag.trades = len(trades)
-    if diag.events and not trades:
+    entry, exit_ = entry[keep], exit_[keep]
+    index = quotes.index_prices[entry]
+    r_net = trade_fields(premium[keep], quotes.option_prices[exit_] * quotes.index_prices[exit_],
+                         index, quotes.index_prices[exit_], quotes.deltas[entry], side,
+                         costs)["r_portfolio_net"]
+    iv, moneyness = quotes.implied_vols[entry], otm_range(quotes.strikes[entry], index)
+    diag.trades = len(r_net)
+    if diag.events and not diag.trades:
         logger.warning("percentile backtest produced no trades "
                        "(%d events, %d entry misses)", diag.events,
                        diag.unmatched_entries)
-    stats = {key: bucket_stats(trades, key, wtl_mode=wtl_mode) for key in buckets}
+    stats = {key: bucket_stats(iv, moneyness, r_net, key, wtl_mode=wtl_mode)
+             for key in buckets}
     return stats, diag
-
-
-def percentile_backtest(net_inflows: NetInflowSeries, quotes: QuoteSeries,
-                        pct: float, leg: str, side: str, c: CostParams,
-                        buckets: list[BucketKey],
-                        holding: timedelta = timedelta(hours=1),
-                        wtl_mode: str = WTL_COUNTS) -> dict[BucketKey, BucketStats]:
-    stats, _ = run_percentile_backtest(net_inflows, quotes, pct, leg, side, c,
-                                       buckets, holding=holding, wtl_mode=wtl_mode)
-    return stats
 
 
 # ---------------------------------------------------------------------------

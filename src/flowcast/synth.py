@@ -273,9 +273,13 @@ def gen_option_chain(cfg: SynthConfig, bars: BarSeries,
         for e in live:
             e = int(e)
             if e not in strikes_of:
-                raw = np.array(spec.moneyness) * index
-                strikes_of[e] = np.unique(
-                    np.round(raw / spec.strike_step) * spec.strike_step)
+                # Halve the step, for this expiry only, until no two rungs
+                # round onto one strike (rungs repeated in moneyness aside).
+                raw, step = np.array(spec.moneyness) * index, spec.strike_step
+                rungs = len(np.unique(raw))
+                while len(strikes := np.unique(np.round(raw / step) * step)) < rungs:
+                    step /= 2
+                strikes_of[e] = strikes
             instruments.extend((float(k), e) for k in strikes_of[e])
         for strike, e in sorted(instruments):
             years = (e - t) / YEAR_SECONDS

@@ -3,8 +3,9 @@
 Everything here is deliberately written the slow, obvious way, without
 reusing any code path from the package under test: explicit loops,
 explicit Gaussian elimination, numeric quadrature. There are three
-exceptions. ``reference_backtest`` re-implements only the quote lookup and
-shares the trade accounting and the bucket aggregation with the package.
+exceptions. ``reference_backtest`` re-implements the quote lookup, one
+``OptionQuote`` per quote and the per-trade bucket filter and aggregation,
+and shares only the scalar trade accounting (``trade``) with the package.
 ``reference_read_table`` is the row-at-a-time CSV reader: it shares the
 schemas and the scalar converters and checks (``check_row``) with the
 package, and re-implements the reading loop and the order of its faults.
@@ -14,16 +15,18 @@ sample type and the errors with the package.
 
 import csv
 import math
+from datetime import datetime, timezone
 
 import numpy as np
 from scipy.integrate import quad
 
 from flowcast.errors import EmptyAlignment, HorizonMismatch, MalformedRow, ValidationError
-from flowcast.ingest import check_row
+from flowcast.ingest import OptionQuote, check_row
 from flowcast.options import (
     WTL_COUNTS,
+    WTL_PNL,
     BacktestDiagnostics,
-    bucket_stats,
+    BucketStats,
     call_price,
     select_percentile_hours,
     trade,
@@ -187,6 +190,53 @@ def call_value_quad(index, strike, years, sigma):
     return value
 
 
+def _quote(quotes, i):
+    """Row i of a QuoteSeries as an OptionQuote."""
+    def when(epoch):
+        return datetime.fromtimestamp(int(epoch), tz=timezone.utc)
+    return OptionQuote(when(quotes.quote_times[i]), float(quotes.strikes[i]),
+                       when(quotes.expiries[i]), float(quotes.option_prices[i]),
+                       float(quotes.index_prices[i]), float(quotes.implied_vols[i]),
+                       float(quotes.deltas[i]))
+
+
+def bucket_matches(key, t):
+    """Whether one TradeOutcome falls in a BucketKey, tested bound by bound."""
+    iv = t.entry.implied_vol
+    if key.iv_min is not None and not iv >= key.iv_min:
+        return False
+    if key.iv_max is not None and not iv < key.iv_max:
+        return False
+    if key.otm_lo is not None or key.otm_hi is not None:
+        m = (t.entry.strike - t.entry.index_price) / t.entry.index_price
+        if key.otm_lo is not None and not m >= key.otm_lo:
+            return False
+        if key.otm_hi is not None and not m < key.otm_hi:
+            return False
+    return True
+
+
+def reference_bucket_stats(trades, key, wtl_mode=WTL_COUNTS):
+    """BucketStats of a list of TradeOutcomes, one trade at a time."""
+    selected = [t for t in trades if bucket_matches(key, t)]
+    total = len(selected)
+    if total == 0:
+        return BucketStats(win_rate=None, total_trades=0, wtl=None,
+                           r_avg_net=None, r_total_net=0.0)
+    wins = [t for t in selected if t.win]
+    losses = [t for t in selected if not t.win]
+    if wtl_mode == WTL_COUNTS:
+        wtl = len(wins) / len(losses) if losses else None
+    else:
+        assert wtl_mode == WTL_PNL
+        loss_sum = abs(math.fsum(t.r_portfolio_net for t in losses))
+        wtl = (math.fsum(t.r_portfolio_net for t in wins) / loss_sum
+               if loss_sum > 0 else None)
+    total_net = math.fsum(t.r_portfolio_net for t in selected)
+    return BucketStats(win_rate=len(wins) / total, total_trades=total, wtl=wtl,
+                       r_avg_net=total_net / total, r_total_net=total_net)
+
+
 def reference_backtest(net_series, quotes, pct, leg, side, costs, buckets,
                        holding_s=3600, tolerance_s=1800, wtl_mode=WTL_COUNTS):
     """Percentile backtest that probes every instrument on every event.
@@ -195,8 +245,9 @@ def reference_backtest(net_series, quotes, pct, leg, side, costs, buckets,
     entry is the instrument's first quote in [event, event + tolerance] and
     the exit its first quote in [entry + holding, entry + holding +
     tolerance], both found by a linear scan of the instrument's quotes.
-    Returns the bucket stats and the diagnostics, like
-    ``run_percentile_backtest``.
+    Each trade is one ``trade`` of two ``OptionQuote``s, and each bucket
+    filters and sums the list of trades. Returns the bucket stats and the
+    diagnostics, like ``run_percentile_backtest``.
     """
     by_instrument = {}
     for i in range(len(quotes)):  # quotes are time-sorted
@@ -223,13 +274,13 @@ def reference_backtest(net_series, quotes, pct, leg, side, costs, buckets,
             if j is None or quotes.quote_times[j] <= quotes.quote_times[i]:
                 diag.unmatched_exits += 1
                 continue
-            entry = quotes[i]
+            entry = _quote(quotes, i)
             if call_price(entry) <= 0:
                 diag.zero_price_skips += 1
                 continue
-            trades.append(trade(entry, quotes[j], side, costs=costs))
+            trades.append(trade(entry, _quote(quotes, j), side, costs=costs))
     diag.trades = len(trades)
-    return {key: bucket_stats(trades, key, wtl_mode=wtl_mode) for key in buckets}, diag
+    return {key: reference_bucket_stats(trades, key, wtl_mode) for key in buckets}, diag
 
 
 def reference_read_table(path, schema):

@@ -116,6 +116,11 @@ def test_import_loads_no_scipy():
     assert out == "[]\n"
 
 
+def test_every_public_name_resolves():
+    assert [name for name in flowcast.__all__ if not hasattr(flowcast, name)] == []
+    assert len(set(flowcast.__all__)) == len(flowcast.__all__)
+
+
 def test_regress_full_grid(dataset, tmp_path):
     out = tmp_path / "grid"
     code = main(["regress", "--flows", str(dataset / "flows.csv"),

@@ -1,3 +1,4 @@
+import dataclasses
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -12,6 +13,7 @@ from flowcast.events import (
     threshold_percentile,
     window_track_csvs,
 )
+from flowcast.ingest import Asset
 from flowcast.series import HOUR, net_inflows
 
 YEAR_2022 = int(datetime(2022, 1, 1, tzinfo=timezone.utc).timestamp())
@@ -124,12 +126,12 @@ def _event_and_data(rng, hours=24 * 10):
     # pick a hit comfortably inside the data range
     hit = next(h for h in hits
                if 4 * 86400 < int(h.timestamp.timestamp()) - YEAR_2022 < 6 * 86400)
-    return hit, flows, bars
+    return hit, series, bars
 
 
 def test_window_span(rng):
-    hit, flows, bars = _event_and_data(rng)
-    window = extract_window(hit, flows, bars, pre=timedelta(days=3),
+    hit, series, bars = _event_and_data(rng)
+    window = extract_window(hit, series, bars, pre=timedelta(days=3),
                             post=timedelta(days=2))
     t0 = hit.timestamp
     assert window.flow_track[0][0] == t0 - timedelta(days=3)
@@ -140,8 +142,8 @@ def test_window_span(rng):
 
 
 def test_window_single_point(rng):
-    hit, flows, bars = _event_and_data(rng)
-    window = extract_window(hit, flows, bars, pre=timedelta(0), post=timedelta(0))
+    hit, series, bars = _event_and_data(rng)
+    window = extract_window(hit, series, bars, pre=timedelta(0), post=timedelta(0))
     assert len(window.flow_track) == 1
     assert window.flow_track[0][0] == hit.timestamp
     assert window.flow_track[0][1] == pytest.approx(hit.net_inflow_musd)
@@ -157,13 +159,23 @@ def test_window_insufficient_coverage(rng):
     hit = next(h for h in detect_extremes(series, k=48)
                if int(h.timestamp.timestamp()) == YEAR_2022)
     with pytest.raises(errors.InsufficientCoverage):
-        extract_window(hit, flows, bars, pre=timedelta(days=1), post=timedelta(0))
+        extract_window(hit, series, bars, pre=timedelta(days=1), post=timedelta(0))
     assert first_hit is not None
 
 
+def test_window_rejects_another_assets_or_horizons_series(rng):
+    hit, series, bars = _event_and_data(rng)
+    btc = dataclasses.replace(series, asset=Asset.BTC)
+    with pytest.raises(errors.InsufficientCoverage):
+        extract_window(hit, btc, bars, pre=timedelta(0), post=timedelta(0))
+    two_hourly = dataclasses.replace(series, horizon=timedelta(hours=2))
+    with pytest.raises(errors.FrequencyMismatch):
+        extract_window(hit, two_hourly, bars, pre=timedelta(0), post=timedelta(0))
+
+
 def test_window_track_csvs(rng):
-    hit, flows, bars = _event_and_data(rng)
-    window = extract_window(hit, flows, bars, pre=timedelta(hours=2),
+    hit, series, bars = _event_and_data(rng)
+    window = extract_window(hit, series, bars, pre=timedelta(hours=2),
                             post=timedelta(hours=1))
     flow_csv, price_csv = window_track_csvs(window)
     assert flow_csv.startswith("timestamp,net_inflow_musd\n")

@@ -54,13 +54,12 @@ def test_parse_flows_single_row(tmp_path):
               FLOWS_HEADER + "2022-05-12T12:00:00Z,ETH,26789010,0\n")
     flows = parse_flows(p)
     assert len(flows) == 1
-    rec = flows[0]
-    assert rec.asset == Asset.ETH
-    assert rec.inflow_usd == 26789010.0
-    assert rec.outflow_usd == 0.0
-    assert rec.net_usd == 26789010.0
-    assert rec.timestamp.tzinfo == timezone.utc
-    assert rec.timestamp.isoformat() == "2022-05-12T12:00:00+00:00"
+    assert flows.timestamps.tolist() == [
+        int(datetime(2022, 5, 12, 12, tzinfo=timezone.utc).timestamp())]
+    assert flows.assets.tolist() == [Asset.ETH.value]
+    assert flows.inflow_usd.tolist() == [26789010.0]
+    assert flows.outflow_usd.tolist() == [0.0]
+    assert flows.net_usd.tolist() == [26789010.0]
 
 
 def test_parse_flows_empty_file_with_header(tmp_path):
@@ -143,7 +142,7 @@ def test_parse_bars_no_gaps(tmp_path):
     bars, gaps = parse_bars(write(tmp_path, "bars.csv", text), timedelta(hours=1))
     assert len(bars) == 2
     assert gaps == []
-    assert bars[1].close == 101.0
+    assert bars.close[1] == 101.0
 
 
 def test_parse_bars_gap_recorded(tmp_path):
@@ -204,10 +203,11 @@ GOOD_QUOTE = "2022-05-12T13:03:00Z,2000,2022-05-13T08:00:00Z,0.02129,2000,1.8735
 def test_parse_quotes_accepts_live_quote(tmp_path):
     quotes = parse_option_quotes(write(tmp_path, "o.csv", OPTIONS_HEADER + GOOD_QUOTE))
     assert len(quotes) == 1
-    q = quotes[0]
-    assert q.strike == 2000.0
-    assert q.expiry.isoformat() == "2022-05-13T08:00:00+00:00"
-    assert q.instrument == (2000.0, q.expiry)
+    assert quotes.strikes.tolist() == [2000.0]
+    assert quotes.expiries.tolist() == [
+        int(datetime(2022, 5, 13, 8, tzinfo=timezone.utc).timestamp())]
+    order, ids = quotes.instruments()
+    assert order.tolist() == [0] and ids.tolist() == [0]
 
 
 def test_parse_quotes_expired_at_quote(tmp_path):

@@ -2,10 +2,11 @@ from datetime import timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import reference_trade_quotes, utc
 from flowcast import errors
-from flowcast.ingest import OptionQuote
+from flowcast.ingest import OptionQuote, QuoteSeries
 from flowcast.options import (
     LEG_BOTTOM,
     LEG_TOP,
@@ -13,18 +14,17 @@ from flowcast.options import (
     SIDE_SELL,
     BucketKey,
     CostParams,
-    apply_costs,
     breakeven_slippage,
     bucket_stats,
     call_price,
     initial_capital,
     net_pnl,
     otm_range,
-    percentile_backtest,
     report_to_tsv,
     run_percentile_backtest,
     table_buckets,
     trade,
+    trade_fields,
 )
 from flowcast.series import HOUR, net_inflows
 from flowcast.synth import OptionChainSpec, SynthConfig, gen_flows_and_prices, gen_option_chain
@@ -67,13 +67,18 @@ def test_otm_range_five_percent():
 def test_otm_bucket_edges_half_open():
     below = BucketKey(LEG_TOP, 0.10, otm_hi=0.01)
     mid = BucketKey(LEG_TOP, 0.10, otm_lo=0.01, otm_hi=0.03)
-    entry, exits = reference_trade_quotes()
-    q_edge = make_quote(utc(2022, 5, 12, 12), strike=2020.0, index_price=2000.0)
-    t = trade(q_edge, make_quote(utc(2022, 5, 12, 13), strike=2020.0,
-                                 option_price=0.019), SIDE_SELL)
-    assert otm_range(2020.0, 2000.0) == pytest.approx(0.01)
-    assert not below.matches(t)  # 1% is not "< 1%"
-    assert mid.matches(t)        # it belongs to [1%, 3%)
+    moneyness = otm_range(np.array([2020.0]), np.array([2000.0]))
+    assert moneyness[0] == pytest.approx(0.01)
+    assert not below.mask(np.ones(1), moneyness)[0]  # 1% is not "< 1%"
+    assert mid.mask(np.ones(1), moneyness)[0]        # it belongs to [1%, 3%)
+
+
+def test_moneyness_and_capital_reject_non_positive_index():
+    for index in (0.0, np.array([2000.0, -1.0])):
+        with pytest.raises(errors.InvalidConfig):
+            otm_range(2000.0, index)
+        with pytest.raises(errors.InvalidConfig):
+            initial_capital(0.5, index)
 
 
 def test_initial_capital_values():
@@ -215,86 +220,109 @@ def test_breakeven_is_exact_root(rng):
         assert abs(solved) <= 1e-10 * t.entry.index_price
 
 
-def test_apply_costs_consistency():
-    t = _round_trip(delta=0.3, index=1500.0)
-    c = CostParams(slippage=0.001)
-    t2 = apply_costs(t, c)
-    assert t2.pnl_net == pytest.approx(net_pnl(t, c), abs=0)
-    assert t2.win == (t2.r_portfolio_net > 0)
-    assert t2.r_portfolio_net == pytest.approx(
-        t2.pnl_net / initial_capital(0.3, 1500.0), rel=1e-12)
+# ---------------------------------------------------------------------------
+# trade_fields: the backtest's array path against trade()
+# ---------------------------------------------------------------------------
+
+PRICES = st.floats(0.001, 0.2)
+INDEXES = st.floats(100.0, 10000.0)
+RATES = st.floats(0.0, 0.01)
+
+
+@settings(max_examples=200)
+@given(legs=st.lists(st.tuples(PRICES, INDEXES, PRICES, INDEXES,
+                               st.one_of(st.sampled_from((0.0, 1.0)), st.floats(0.0, 1.0))),
+                     min_size=1, max_size=20),
+       side=st.sampled_from((SIDE_SELL, SIDE_BUY)),
+       rates=st.tuples(RATES, RATES, RATES, RATES))
+def test_trade_fields_on_arrays_match_trade_bit_for_bit(legs, side, rates):
+    costs = CostParams(*rates)
+    trades = [trade(make_quote(utc(2022, 5, 12, 12), option_price=p0, index_price=i0,
+                               delta=delta),
+                    make_quote(utc(2022, 5, 12, 13), option_price=p1, index_price=i1),
+                    side, costs=costs)
+              for p0, i0, p1, i1, delta in legs]
+    p0, i0, p1, i1, delta = map(np.array, zip(*legs))
+    fields = trade_fields(p0 * i0, p1 * i1, i0, i1, delta, side, costs)
+    for name, column in fields.items():
+        scalar = np.array([getattr(t, name) for t in trades])
+        assert column.view(np.int64).tolist() == scalar.view(np.int64).tolist(), name
+    assert [t.win for t in trades] == (fields["r_portfolio_net"] > 0).tolist()
+
+
+def test_trade_fields_rejects_unknown_side():
+    with pytest.raises(errors.InvalidConfig):
+        trade_fields(40.0, 38.0, 2000.0, 2010.0, 0.2, "sell_put", CostParams())
 
 
 # ---------------------------------------------------------------------------
 # bucket stats
 # ---------------------------------------------------------------------------
 
-def _fake_trade(r_net, iv=1.5, strike=2000.0, index=2000.0):
-    entry = make_quote(utc(2022, 5, 12, 12), strike=strike, index_price=index, iv=iv)
-    exit_q = make_quote(utc(2022, 5, 12, 13), strike=strike,
-                        option_price=entry.option_price, index_price=index)
-    t = trade(entry, exit_q, SIDE_SELL)
-    from dataclasses import replace
-    return replace(t, r_portfolio_net=r_net, win=r_net > 0)
+def _columns(r_nets, iv=1.5, moneyness=0.0):
+    """(entry implied vol, entry moneyness, net return) columns of trades."""
+    r = np.asarray(r_nets, dtype=float)
+    return np.broadcast_to(iv, r.shape), np.broadcast_to(moneyness, r.shape), r
 
 
 def test_bucket_all_wins():
-    trades = [_fake_trade(0.01), _fake_trade(0.02), _fake_trade(0.005)]
-    s = bucket_stats(trades, BucketKey(LEG_TOP, 0.10))
+    s = bucket_stats(*_columns([0.01, 0.02, 0.005]), BucketKey(LEG_TOP, 0.10))
     assert s.win_rate == pytest.approx(1.0)
     assert s.total_trades == 3
     assert s.wtl is None
 
 
 def test_bucket_empty():
-    s = bucket_stats([], BucketKey(LEG_TOP, 0.10))
+    s = bucket_stats(*_columns([]), BucketKey(LEG_TOP, 0.10))
     assert s.total_trades == 0
     assert s.win_rate is None and s.wtl is None and s.r_avg_net is None
     assert s.r_total_net == 0.0
 
 
 def test_bucket_seven_three():
-    trades = [_fake_trade(0.01)] * 7 + [_fake_trade(-0.01)] * 3
-    s = bucket_stats(trades, BucketKey(LEG_TOP, 0.10))
+    s = bucket_stats(*_columns([0.01] * 7 + [-0.01] * 3), BucketKey(LEG_TOP, 0.10))
     assert s.win_rate == pytest.approx(0.7)
     assert s.wtl == pytest.approx(7 / 3)
     assert s.total_trades == 10
 
 
 def test_bucket_counts_partition_and_reorder_invariance(rng):
-    trades = [_fake_trade(float(r)) for r in rng.normal(0, 0.01, size=60)]
+    r = rng.normal(0, 0.01, size=60)
     key = BucketKey(LEG_TOP, 0.10)
-    s = bucket_stats(trades, key)
-    wins = sum(1 for t in trades if t.win)
-    assert s.win_rate == pytest.approx(wins / 60)
-    shuffled = list(trades)
-    rng.shuffle(shuffled)
-    assert bucket_stats(shuffled, key) == s
+    s = bucket_stats(*_columns(r), key)
+    assert s.win_rate == pytest.approx((r > 0).sum() / 60)
+    assert bucket_stats(*_columns(rng.permutation(r)), key) == s
 
 
 def test_bucket_iv_filter_closed_on_threshold():
-    trades = [_fake_trade(0.01, iv=1.0), _fake_trade(0.01, iv=0.99)]
-    s = bucket_stats(trades, BucketKey(LEG_TOP, 0.10, iv_min=1.0))
+    s = bucket_stats(*_columns([0.01, 0.01], iv=np.array([1.0, 0.99])),
+                     BucketKey(LEG_TOP, 0.10, iv_min=1.0))
     assert s.total_trades == 1  # iv >= 1 includes exactly 1.0
 
 
 def test_bucket_wtl_pnl_mode():
-    trades = [_fake_trade(0.03), _fake_trade(0.01), _fake_trade(-0.02)]
-    s = bucket_stats(trades, BucketKey(LEG_TOP, 0.10), wtl_mode="pnl")
+    s = bucket_stats(*_columns([0.03, 0.01, -0.02]), BucketKey(LEG_TOP, 0.10),
+                     wtl_mode="pnl")
     assert s.wtl == pytest.approx(0.04 / 0.02)
+
+
+def test_bucket_mask_excludes_nan_from_bounded_intervals():
+    iv, moneyness = np.array([np.nan, 1.5]), np.array([0.02, np.nan])
+    assert BucketKey(LEG_TOP, 0.10).mask(iv, moneyness).tolist() == [True, True]
+    assert BucketKey(LEG_TOP, 0.10, iv_min=1.0).mask(iv, moneyness).tolist() == [False, True]
+    assert BucketKey(LEG_TOP, 0.10, otm_hi=0.05).mask(iv, moneyness).tolist() == [True, False]
 
 
 def test_otm_buckets_partition(rng):
     edges = ((None, 0.01), (0.01, 0.03), (0.03, 0.05), (0.05, 0.10))
     keys = [BucketKey(LEG_TOP, 0.10, otm_lo=lo, otm_hi=hi) for lo, hi in edges]
-    for _ in range(100):
-        strike = float(rng.uniform(1800, 2300))
-        t = _fake_trade(0.01, strike=strike)
-        assert sum(k.matches(t) for k in keys) <= 1
+    moneyness = otm_range(rng.uniform(1800, 2300, size=100), np.full(100, 2000.0))
+    iv = np.full(100, 1.5)
+    assert (sum(k.mask(iv, moneyness).astype(int) for k in keys) <= 1).all()
 
 
 def test_report_tsv_renders_na():
-    stats = {BucketKey(LEG_TOP, 0.10): bucket_stats([], BucketKey(LEG_TOP, 0.10))}
+    stats = {BucketKey(LEG_TOP, 0.10): bucket_stats(*_columns([]), BucketKey(LEG_TOP, 0.10))}
     text = report_to_tsv(stats)
     lines = text.strip().split("\n")
     assert lines[0] == "bucket\twin_rate\ttotal_trades\twtl\tr_avg_net\tr_total_net"
@@ -332,10 +360,10 @@ def test_backtest_top_bottom_separation():
 def test_backtest_full_percentile_selects_everything():
     series, quotes = _chain_fixture(hours=200)
     costs = CostParams()
-    top = percentile_backtest(series, quotes, 1.0, LEG_TOP, SIDE_SELL, costs,
-                              [BucketKey(LEG_TOP, 1.0)])
-    bottom = percentile_backtest(series, quotes, 1.0, LEG_BOTTOM, SIDE_SELL, costs,
-                                 [BucketKey(LEG_BOTTOM, 1.0)])
+    top, _ = run_percentile_backtest(series, quotes, 1.0, LEG_TOP, SIDE_SELL, costs,
+                                     [BucketKey(LEG_TOP, 1.0)])
+    bottom, _ = run_percentile_backtest(series, quotes, 1.0, LEG_BOTTOM, SIDE_SELL, costs,
+                                        [BucketKey(LEG_BOTTOM, 1.0)])
     ts = top[BucketKey(LEG_TOP, 1.0)]
     bs = bottom[BucketKey(LEG_BOTTOM, 1.0)]
     assert ts.total_trades == bs.total_trades > 0
@@ -345,20 +373,33 @@ def test_backtest_full_percentile_selects_everything():
 
 def test_backtest_empty_quotes():
     series, _ = _chain_fixture(hours=200)
-    from flowcast.ingest import QuoteSeries
     empty = QuoteSeries(*[np.empty(0)] * 7)
     with pytest.raises(errors.NoMatchingQuotes):
-        percentile_backtest(series, empty, 0.10, LEG_TOP, SIDE_SELL,
-                            CostParams(), [BucketKey(LEG_TOP, 0.10)])
+        run_percentile_backtest(series, empty, 0.10, LEG_TOP, SIDE_SELL,
+                                CostParams(), [BucketKey(LEG_TOP, 0.10)])
 
 
 def test_backtest_table_buckets_nest():
     series, quotes = _chain_fixture(hours=300)
     buckets = table_buckets(LEG_TOP, 0.10)
-    stats = percentile_backtest(series, quotes, 0.10, LEG_TOP, SIDE_SELL,
-                                CostParams(), buckets)
+    stats, _ = run_percentile_backtest(series, quotes, 0.10, LEG_TOP, SIDE_SELL,
+                                       CostParams(), buckets)
     original = stats[BucketKey(LEG_TOP, 0.10)]
     assert original.total_trades > 0
     # every filtered bucket is a subset of the unfiltered row
     for s in stats.values():
         assert s.total_trades <= original.total_trades
+
+
+def test_backtest_rejects_non_positive_entry_index():
+    # A negative price at a negative index makes a positive premium, so the
+    # entry is traded, and its initial capital is undefined.
+    series, _ = _chain_fixture(hours=200)
+    t = int(series.timestamps[0])
+    quotes = QuoteSeries(np.array([t, t + 3600]), np.array([2000.0, 2000.0]),
+                         np.array([t + 86400] * 2), np.array([-0.02, -0.02]),
+                         np.array([-2000.0, -2000.0]), np.array([1.0, 1.0]),
+                         np.array([0.2, 0.2]))
+    with pytest.raises(errors.InvalidConfig):
+        run_percentile_backtest(series, quotes, 1.0, LEG_TOP, SIDE_SELL,
+                                CostParams(), [BucketKey(LEG_TOP, 1.0)])

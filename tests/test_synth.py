@@ -94,6 +94,23 @@ def test_quote_invariants_hold():
     assert np.all(np.diff(quotes.quote_times) >= 0)
 
 
+@pytest.mark.parametrize("init_price", [150.0, 20.0, 1.0])
+@pytest.mark.parametrize("moneyness", [(0.98, 1.0, 1.02, 1.05), (1.0, 1.0, 1.05)])
+def test_strike_ladder_keeps_every_rung_below_250(init_price, moneyness):
+    # Below an index of about 250, rungs 2% apart round onto one strike on
+    # the 5-dollar step; the expiry then takes a finer one. A rung repeated
+    # in the moneyness ladder is still one strike.
+    cfg = SynthConfig(seed=7, hours=100, init_price=init_price,
+                      chain=OptionChainSpec(moneyness=moneyness))
+    flows, bars = gen_flows_and_prices(cfg)
+    quotes = gen_option_chain(cfg, bars, flows=flows)
+    assert quotes.index_prices.max() < 250
+    assert quotes.strikes.min() > 0
+    _, per_listing = np.unique(np.stack([quotes.quote_times, quotes.expiries]),
+                               axis=1, return_counts=True)
+    assert (per_listing == len(set(moneyness))).all()
+
+
 def test_plant_and_recover_sign_classification():
     # planted |t| ~ 75, far above the 4-se bar, so all 100 seeds must agree
     from flowcast.regress import classify_sign, significance
@@ -134,10 +151,10 @@ def test_chain_prices_match_quadrature_oracle():
     flows, bars = gen_flows_and_prices(cfg)
     quotes = gen_option_chain(cfg, bars, flows=flows)
     for i in range(0, len(quotes), max(1, len(quotes) // 7)):
-        q = quotes[i]
-        years = (q.expiry - q.quote_time).total_seconds() / (365.0 * 86400.0)
-        ref = oracles.call_value_quad(q.index_price, q.strike, years, q.implied_vol)
-        assert q.option_price * q.index_price == pytest.approx(ref, rel=1e-6, abs=1e-9)
+        index = quotes.index_prices[i]
+        years = (quotes.expiries[i] - quotes.quote_times[i]) / (365.0 * 86400.0)
+        ref = oracles.call_value_quad(index, quotes.strikes[i], years, quotes.implied_vols[i])
+        assert quotes.option_prices[i] * index == pytest.approx(ref, rel=1e-6, abs=1e-9)
 
 
 def test_invalid_configs_rejected():
