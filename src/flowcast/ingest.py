@@ -142,6 +142,23 @@ class BarSeries:
         closes.flags.writeable = False
         return closes
 
+    @cached_property
+    def close_coverage(self) -> np.ndarray:
+        """Read-only count of the closes present on ``close_grid`` up to each slot."""
+        present = np.cumsum(~np.isnan(self.close_grid))
+        present.flags.writeable = False
+        return present
+
+    @cached_property
+    def sub_returns(self) -> np.ndarray:
+        """Read-only close-to-close returns on ``close_grid``: slot i holds
+        ``close[i] / close[i-1] - 1``, NaN at slot 0 and next to a missing close."""
+        closes = self.close_grid
+        ret = np.full(len(closes), np.nan)
+        ret[1:] = closes[1:] / closes[:-1] - 1.0
+        ret.flags.writeable = False
+        return ret
+
 
 class QuoteSeries:
     """Option quotes sorted by quote_time, then (strike, expiry)."""

@@ -136,11 +136,10 @@ def returns(bars: BarSeries, horizon: timedelta) -> ReturnSeries:
     if len(bars) == 0:
         return ReturnSeries(bars.asset, horizon, np.empty(0, np.int64), np.empty(0))
     nsub = h_s // f_s
-    closes = bars.close_grid
     t, a = _window_starts(bars, h_s)
     if len(t) == 0:
         return ReturnSeries(bars.asset, horizon, np.empty(0, np.int64), np.empty(0))
-    present = np.cumsum(~np.isnan(closes))
+    closes, present = bars.close_grid, bars.close_coverage
     span = nsub + 1  # bars at t-f .. t+h-f
     covered = present[a + nsub] - np.where(a > 0, present[a - 1], 0) == span
     t, a = t[covered], a[covered]
@@ -170,14 +169,11 @@ def realized_vol(bars: BarSeries, horizon: timedelta,
             f"{horizon} window holds {nsub} sub-bar(s); need at least 2")
     if len(bars) == 0:
         return VolSeries(bars.asset, horizon, np.empty(0, np.int64), np.empty(0))
-    closes = bars.close_grid
-    sub_ret = np.full(len(closes), np.nan)
-    sub_ret[1:] = closes[1:] / closes[:-1] - 1.0
     t, a = _window_starts(bars, h_s)
     if len(t) == 0:
         return VolSeries(bars.asset, horizon, np.empty(0, np.int64), np.empty(0))
     # Window i holds sub-returns a[i]+1 .. a[i]+nsub, and a steps by nsub.
-    windows = sub_ret[a[0] + 1:a[0] + 1 + len(t) * nsub].reshape(len(t), nsub)
+    windows = bars.sub_returns[a[0] + 1:a[0] + 1 + len(t) * nsub].reshape(len(t), nsub)
     valid = ~np.isnan(windows).any(axis=1)
     t, windows = t[valid], windows[valid]
     vals = np.std(windows, axis=1, ddof=1) if len(t) else np.empty(0)

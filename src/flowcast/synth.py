@@ -9,7 +9,9 @@ and sub-bar return dispersion inside each volatility bucket scales as
 ``vol_base + sum_a vol_beta_a * netinflow_a(previous bucket)``, floored
 at a small positive constant. Sub-bars are constructed to compound
 *exactly* to the planted hourly return, so the return and volatility
-channels can be planted independently.
+channels can be planted independently. Both AR(1) terms (``b2``, and
+``vol_ar`` on the dispersion) run ``y[i] = x[i] + b * y[i-1]`` from rest
+in Python floats, bit for bit ``scipy.signal.lfilter([1], [1, -b], x)``.
 
 Randomness comes from numpy's PCG64 bit generator seeded through
 ``SeedSequence(seed)``; every array is drawn in a fixed order, so a seed
@@ -42,13 +44,12 @@ _SUB_CLIP = -0.9
 
 @dataclass(frozen=True)
 class OptionChainSpec:
-    """Strike/expiry grid and quote cadence for the synthetic call chain."""
+    """Strike/expiry grid of the synthetic call chain, quoted every hour."""
 
     moneyness: tuple[float, ...] = (0.98, 1.0, 1.02, 1.05)
     strike_step: float = 5.0
     expiry_every: timedelta = timedelta(hours=24)
     lifetime: timedelta = timedelta(hours=48)
-    quote_every: timedelta = timedelta(hours=1)
     iv_base: float = 0.8
     iv_flow_beta: float = 0.0   # implied-vol response to last hour's net inflow
     iv_floor: float = 0.05
@@ -118,6 +119,18 @@ def _hourly_net_musd(flows: FlowSeries, hours: int, start: int) -> np.ndarray:
     return flows.net_usd / 1e6
 
 
+def _ar1(x: np.ndarray, b: float) -> np.ndarray:
+    """``y[i] = x[i] + b*y[i-1]`` from ``y[-1] = 0``, in the order of
+    operations of ``lfilter([1], [1, -b], x)``: the ``x[i-1] * 0.0`` term
+    gives a zero result the sign ``lfilter`` gives it."""
+    out, state = [], 0.0
+    for xi in x.tolist():
+        yi = state + xi
+        out.append(yi)
+        state = xi * 0.0 + b * yi
+    return np.array(out, dtype=np.float64)
+
+
 def gen_price_bars(seed: int | np.random.SeedSequence, hours: int,
                    flows: Mapping[Asset, FlowSeries],
                    return_betas: Mapping[Asset, float],
@@ -130,9 +143,6 @@ def gen_price_bars(seed: int | np.random.SeedSequence, hours: int,
                    init_price: float = 2000.0, start: int = DEFAULT_START,
                    asset: Asset | None = None) -> BarSeries:
     """Sub-hourly bars with planted return and volatility responses to flows."""
-    # Deferred: scipy.signal loads scipy.stats, which analysis commands never need.
-    from scipy.signal import lfilter
-
     seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     rng = _rng(seq)
     sub_s = int(sub_frequency.total_seconds())
@@ -149,8 +159,7 @@ def gen_price_bars(seed: int | np.random.SeedSequence, hours: int,
     for a, b in return_betas.items():
         if b != 0.0:
             driver[1:] += b * net[a][:-1]
-    hourly_ret = lfilter([1.0], [1.0, -beta2], driver)
-    hourly_ret = np.maximum(hourly_ret, _RETURN_CLIP)
+    hourly_ret = np.maximum(_ar1(driver, beta2), _RETURN_CLIP)
 
     # Per-bucket sub-bar dispersion driven by the previous bucket's net flow.
     nb = hours // vh
@@ -161,8 +170,7 @@ def gen_price_bars(seed: int | np.random.SeedSequence, hours: int,
         if b != 0.0:
             bucket_flow = net[a].reshape(nb, vh).sum(axis=1)
             vol_drive[1:] += b * bucket_flow[:-1]
-    sigma = vol_base + lfilter([1.0], [1.0, -vol_ar], vol_drive)
-    sigma = np.maximum(sigma, vol_floor)
+    sigma = np.maximum(vol_base + _ar1(vol_drive, vol_ar), vol_floor)
     sigma_hour = np.repeat(sigma, vh)
 
     # Sub-bars compound exactly to the hourly gross return.
@@ -176,9 +184,7 @@ def gen_price_bars(seed: int | np.random.SeedSequence, hours: int,
     level[0] = init_price
     level[1:] = init_price * np.cumprod(1.0 + hourly_ret)
     closes = (level[:-1, None] * np.cumprod(factors, axis=1)).ravel()
-    opens = np.empty_like(closes)
-    opens[0] = init_price
-    opens[1:] = closes[:-1]
+    opens = np.concatenate(([init_price], closes[:-1]))
 
     ts = start + sub_s * np.arange(hours * nsub, dtype=np.int64)
     return BarSeries(ts, opens, np.maximum(opens, closes), np.minimum(opens, closes),
@@ -203,20 +209,26 @@ def gen_flows_and_prices(cfg: SynthConfig) -> tuple[FlowSeries, BarSeries]:
     return flows, bars
 
 
-def black_scholes_call(index: float, strike: float, years: float,
-                       sigma: float) -> tuple[float, float]:
-    """(price, delta) of a European call under a zero-rate lognormal model."""
+def black_scholes_call(index, strike, years, sigma):
+    """(price, delta) of a European call under a zero-rate lognormal model,
+    as floats or as arrays; at or past expiry, or at zero vol, the call is
+    worth its intrinsic value."""
     # Deferred: importing scipy costs most of a short command's run time.
     from scipy.special import ndtr
 
-    if years <= 0 or sigma <= 0:
-        intrinsic = max(index - strike, 0.0)
-        return intrinsic, 1.0 if index > strike else 0.0
-    sq = sigma * math.sqrt(years)
-    d1 = (math.log(index / strike) + 0.5 * sq * sq) / sq
-    d2 = d1 - sq
-    price = index * float(ndtr(d1)) - strike * float(ndtr(d2))
-    return max(price, 0.0), min(max(float(ndtr(d1)), 0.0), 1.0)
+    index, strike, years, sigma = np.broadcast_arrays(
+        *(np.asarray(v, dtype=np.float64) for v in (index, strike, years, sigma)))
+    price = np.where(index > strike, index - strike, 0.0)
+    delta = np.where(index > strike, 1.0, 0.0)
+    live = (years > 0) & (sigma > 0)
+    index, strike, sq = index[live], strike[live], sigma[live] * np.sqrt(years[live])
+    # math.log, not np.log: the two differ in the last bit on some ratios.
+    log_moneyness = np.array([math.log(r) for r in (index / strike).tolist()])
+    d1 = (log_moneyness + 0.5 * sq * sq) / sq
+    n1 = ndtr(d1)
+    price[live] = np.maximum(index * n1 - strike * ndtr(d1 - sq), 0.0)
+    delta[live] = np.minimum(np.maximum(n1, 0.0), 1.0)
+    return price[()], delta[()]
 
 
 def gen_option_chain(cfg: SynthConfig, bars: BarSeries,
@@ -231,15 +243,9 @@ def gen_option_chain(cfg: SynthConfig, bars: BarSeries,
     if cfg.chain is None:
         raise InvalidConfig("config has no option_chain_spec")
     spec = cfg.chain
-    if len(bars) == 0:
-        raise InvalidConfig("bars must be non-empty")
-    sub_s = int(cfg.sub_frequency.total_seconds())
-    nsub = 3600 // sub_s
+    nsub = 3600 // int(cfg.sub_frequency.total_seconds())
     if len(bars) != cfg.hours * nsub:
         raise InvalidConfig("bars do not cover the generation grid")
-    quote_s = int(spec.quote_every.total_seconds())
-    if quote_s <= 0 or quote_s % 3600 != 0:
-        raise InvalidConfig("quote_every must be a whole number of hours")
     expiry_s = int(spec.expiry_every.total_seconds())
     life_s = int(spec.lifetime.total_seconds())
     if expiry_s <= 0 or life_s <= 0:
@@ -252,44 +258,37 @@ def gen_option_chain(cfg: SynthConfig, bars: BarSeries,
         flows = gen_flows(flow_seq, cfg.hours, cfg.flow_sd_musd, cfg.asset, cfg.start)
     net = _hourly_net_musd(flows, cfg.hours, cfg.start)
 
-    # Price level at hour boundary i (i >= 1) is the close of the last sub-bar
-    # of hour i-1; implied vol at hour i responds to hour i-1's net inflow.
-    hour_close = bars.close.reshape(cfg.hours, nsub)[:, -1]
-    iv = np.full(cfg.hours + 1, spec.iv_base)
-    iv[1:] = np.maximum(spec.iv_base + spec.iv_flow_beta * net, spec.iv_floor)
+    # Hour k quotes at t = start + (k+1)h: the close of the last sub-bar of
+    # hour k, at an implied vol that responds to hour k's net inflow.
+    t = cfg.start + 3600 * np.arange(1, cfg.hours + 1, dtype=np.int64)
+    index = bars.close.reshape(cfg.hours, nsub)[:, -1]
+    iv = np.maximum(spec.iv_base + spec.iv_flow_beta * net, spec.iv_floor)
 
-    end = cfg.start + 3600 * cfg.hours
-    expiries = np.arange(cfg.start + expiry_s, end + expiry_s + 1, expiry_s,
-                         dtype=np.int64)
-    strikes_of: dict[int, np.ndarray] = {}
+    # Expiry e is quoted at the hours t in [e - lifetime, e) and its strikes
+    # are set at the first of them.
+    expiries = np.arange(cfg.start + expiry_s, t[-1] + expiry_s + 1, expiry_s)
+    first, stop = np.searchsorted(t, expiries - life_s), np.searchsorted(t, expiries)
+    hour, strike, expiry = [np.empty(0, np.int64)], [np.empty(0)], [np.empty(0, np.int64)]
+    for e, a, b in zip(expiries.tolist(), first.tolist(), stop.tolist()):
+        if a == b:
+            continue
+        # Halve the step, for this expiry only, until no two rungs round
+        # onto one strike (rungs repeated in moneyness aside).
+        raw, step = np.array(spec.moneyness) * index[a], spec.strike_step
+        rungs = len(np.unique(raw))
+        while len(strikes := np.unique(np.round(raw / step) * step)) < rungs:
+            step /= 2
+        hour.append(np.repeat(np.arange(a, b), len(strikes)))
+        strike.append(np.tile(strikes, b - a))
+        expiry.append(np.full((b - a) * len(strikes), e, dtype=np.int64))
 
-    rows: list[tuple[int, float, int, float, float, float, float]] = []
-    for i in range(1, cfg.hours + 1):
-        t = cfg.start + 3600 * i
-        index = float(hour_close[i - 1])
-        sigma = float(iv[i])
-        live = expiries[(expiries > t) & (expiries <= t + life_s)]
-        instruments: list[tuple[float, int]] = []
-        for e in live:
-            e = int(e)
-            if e not in strikes_of:
-                # Halve the step, for this expiry only, until no two rungs
-                # round onto one strike (rungs repeated in moneyness aside).
-                raw, step = np.array(spec.moneyness) * index, spec.strike_step
-                rungs = len(np.unique(raw))
-                while len(strikes := np.unique(np.round(raw / step) * step)) < rungs:
-                    step /= 2
-                strikes_of[e] = strikes
-            instruments.extend((float(k), e) for k in strikes_of[e])
-        for strike, e in sorted(instruments):
-            years = (e - t) / YEAR_SECONDS
-            price, delta = black_scholes_call(index, strike, years, sigma)
-            rows.append((t, strike, e, price / index, index, sigma, delta))
-
-    arr = np.array(rows, dtype=np.float64) if rows else np.zeros((0, 7))
-    return QuoteSeries(arr[:, 0].astype(np.int64), arr[:, 1],
-                       arr[:, 2].astype(np.int64), arr[:, 3], arr[:, 4],
-                       arr[:, 5], arr[:, 6])
+    # One row per (hour, strike, expiry), in that order.
+    hour, strike, expiry = map(np.concatenate, (hour, strike, expiry))
+    order = np.lexsort((expiry, strike, hour))
+    hour, strike, expiry = hour[order], strike[order], expiry[order]
+    t, index, sigma = t[hour], index[hour], iv[hour]
+    price, delta = black_scholes_call(index, strike, (expiry - t) / YEAR_SECONDS, sigma)
+    return QuoteSeries(t, strike, expiry, price / index, index, sigma, delta)
 
 
 # ---------------------------------------------------------------------------

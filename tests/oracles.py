@@ -10,7 +10,9 @@ and shares only the scalar trade accounting (``trade``) with the package.
 schemas and the scalar converters and checks (``check_row``) with the
 package, and re-implements the reading loop and the order of its faults.
 ``reference_align`` is the timestamp-matching ``align``: it shares the
-sample type and the errors with the package.
+sample type and the errors with the package. ``reference_option_chain``
+is the per-hour synthetic call chain, priced one quote at a time by the
+scalar ``reference_black_scholes_call``; it shares only ``QuoteSeries``.
 """
 
 import csv
@@ -19,9 +21,10 @@ from datetime import datetime, timezone
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import ndtr
 
 from flowcast.errors import EmptyAlignment, HorizonMismatch, MalformedRow, ValidationError
-from flowcast.ingest import OptionQuote, check_row
+from flowcast.ingest import OptionQuote, QuoteSeries, check_row
 from flowcast.options import (
     WTL_COUNTS,
     WTL_PNL,
@@ -351,3 +354,59 @@ def reference_align(predictor, response, control=None, horizon=None):
         ctrl = control.values[np.searchsorted(control.timestamps, t)]
     return AlignedSample(timestamps=t, predictor=pred, response=resp,
                          control=ctrl, horizon=horizon)
+
+
+def reference_black_scholes_call(index, strike, years, sigma):
+    """Scalar (price, delta) of a European call under a zero-rate lognormal
+    model; at or past expiry, or at zero vol, the intrinsic value."""
+    if years <= 0 or sigma <= 0:
+        intrinsic = max(index - strike, 0.0)
+        return intrinsic, 1.0 if index > strike else 0.0
+    sq = sigma * math.sqrt(years)
+    d1 = (math.log(index / strike) + 0.5 * sq * sq) / sq
+    d2 = d1 - sq
+    price = index * float(ndtr(d1)) - strike * float(ndtr(d2))
+    return max(price, 0.0), min(max(float(ndtr(d1)), 0.0), 1.0)
+
+
+def reference_option_chain(cfg, bars, flows):
+    """The hourly call chain of ``cfg.chain``, built hour by hour.
+
+    Hour i quotes every expiry in (t, t + lifetime] at the close ending
+    hour i and an implied vol set by hour i-1's net inflow. An expiry's
+    strikes are fixed at its first quoted hour: the moneyness rungs
+    rounded to the strike step, halved until no two distinct rungs share
+    a strike. Each hour lists its (strike, expiry) pairs in sorted order.
+    """
+    spec = cfg.chain
+    nsub = 3600 // int(cfg.sub_frequency.total_seconds())
+    hour_close = bars.close.reshape(cfg.hours, nsub)[:, -1]
+    net = flows.net_usd / 1e6
+    expiry_s = int(spec.expiry_every.total_seconds())
+    life_s = int(spec.lifetime.total_seconds())
+    end = cfg.start + 3600 * cfg.hours
+    expiries = range(cfg.start + expiry_s, end + expiry_s + 1, expiry_s)
+    strikes_of = {}
+    rows = []
+    for i in range(1, cfg.hours + 1):
+        t = cfg.start + 3600 * i
+        index = float(hour_close[i - 1])
+        sigma = max(spec.iv_base + spec.iv_flow_beta * float(net[i - 1]), spec.iv_floor)
+        instruments = []
+        for e in expiries:
+            if not t < e <= t + life_s:
+                continue
+            if e not in strikes_of:
+                raw, step = np.array(spec.moneyness) * index, spec.strike_step
+                rungs = len(np.unique(raw))
+                while len(strikes := np.unique(np.round(raw / step) * step)) < rungs:
+                    step /= 2
+                strikes_of[e] = strikes
+            instruments.extend((float(k), e) for k in strikes_of[e])
+        for strike, e in sorted(instruments):
+            years = (e - t) / (365.0 * 24.0 * 3600.0)
+            price, delta = reference_black_scholes_call(index, strike, years, sigma)
+            rows.append((t, strike, e, price / index, index, sigma, delta))
+    columns = list(zip(*rows)) if rows else [()] * 7
+    return QuoteSeries(*(np.array(c, dtype=dtype) for c, dtype in
+                         zip(columns, [np.int64, float, np.int64, float, float, float, float])))

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import os
@@ -102,18 +103,37 @@ def test_ingest_check_rejects_non_utf8_input(tmp_path, capsys, flag, text):
     assert err == f"validation error: {bad}: not valid UTF-8\n"
 
 
+def _scipy_modules_after(code):
+    """The scipy modules a fresh interpreter holds after running ``code``."""
+    src = str(Path(flowcast.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = (f"import sys, flowcast, flowcast.cli\n{code}\n"
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    return ast.literal_eval(out)
+
+
 def test_import_loads_no_scipy():
     # Importing scipy costs most of a short command's run time; only the
     # functions that call it may load it. Tests import flowcast in-process,
     # so only a fresh interpreter shows what the import itself loads.
-    src = str(Path(flowcast.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    probe = ("import sys, flowcast, flowcast.cli; "
-             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
-                         capture_output=True, text=True, timeout=60).stdout
-    assert out == "[]\n"
+    assert _scipy_modules_after("") == []
+
+
+def test_synth_loads_scipy_special_alone():
+    # The planted market needs no scipy; the option chain needs ndtr only.
+    assert _scipy_modules_after("flowcast.synth.gen_market(1, 400)") == []
+    chain = ("from flowcast import synth\n"
+             "cfg = synth.SynthConfig(seed=1, hours=400, chain=synth.OptionChainSpec())\n"
+             "synth.gen_option_chain(cfg, synth.gen_flows_and_prices(cfg)[1])")
+    loaded = _scipy_modules_after(chain)
+    assert "scipy.special" in loaded
+    assert not [m for m in loaded if m.startswith(("scipy.signal", "scipy.stats"))]
+    # Besides scipy.special, only scipy's private helpers and its version module.
+    public = {m.split(".")[1] for m in loaded if "." in m and not m.split(".")[1].startswith("_")}
+    assert public == {"special", "version"}
 
 
 def test_every_public_name_resolves():

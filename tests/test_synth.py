@@ -2,10 +2,12 @@ from datetime import timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import oracles
 from flowcast import errors
-from flowcast.ingest import Asset, bars_to_csv, flows_to_csv, quotes_to_csv
+from flowcast.ingest import Asset, QuoteSeries, bars_to_csv, flows_to_csv, quotes_to_csv
 from flowcast.regress import ols_fit
 from flowcast.series import HOUR, align, net_inflows, realized_vol, returns
 from flowcast.synth import (
@@ -13,6 +15,7 @@ from flowcast.synth import (
     GridPlants,
     OptionChainSpec,
     SynthConfig,
+    _ar1,
     black_scholes_call,
     gen_flows_and_prices,
     gen_market,
@@ -109,6 +112,81 @@ def test_strike_ladder_keeps_every_rung_below_250(init_price, moneyness):
     _, per_listing = np.unique(np.stack([quotes.quote_times, quotes.expiries]),
                                axis=1, return_counts=True)
     assert (per_listing == len(set(moneyness))).all()
+
+
+def _chain(init_price=2000.0, **spec):
+    cfg = SynthConfig(seed=61, hours=150, init_price=init_price,
+                      chain=OptionChainSpec(**spec))
+    flows, bars = gen_flows_and_prices(cfg)
+    return (gen_option_chain(cfg, bars, flows=flows),
+            oracles.reference_option_chain(cfg, bars, flows))
+
+
+CHAIN_CASES = {
+    "default": (2000.0, {}),
+    "wide": (2000.0, dict(moneyness=(0.9, 1.0, 1.1))),
+    "repeated-rung": (2000.0, dict(moneyness=(1.0, 1.0, 1.05))),
+    "index-150": (150.0, {}),
+    "index-20": (20.0, {}),
+    "index-1": (1.0, {}),
+    "12h-expiries-72h-life": (2000.0, dict(expiry_every=timedelta(hours=12),
+                                           lifetime=timedelta(hours=72))),
+    "30min-life": (2000.0, dict(lifetime=timedelta(minutes=30))),
+    "iv-floor": (2000.0, dict(iv_flow_beta=1.0)),
+}
+
+
+@pytest.mark.parametrize("init_price, spec", CHAIN_CASES.values(), ids=CHAIN_CASES)
+def test_chain_matches_per_hour_reference_byte_for_byte(init_price, spec):
+    quotes, reference = _chain(init_price, **spec)
+    assert quotes_to_csv(quotes) == quotes_to_csv(reference)
+
+
+def test_chain_without_a_live_expiry_is_empty():
+    quotes, _ = _chain(lifetime=timedelta(minutes=30))
+    assert isinstance(quotes, QuoteSeries) and len(quotes) == 0
+    assert quotes.quote_times.dtype == quotes.expiries.dtype == np.int64
+
+
+def test_chain_case_reaches_the_iv_floor():
+    quotes, _ = _chain(iv_flow_beta=1.0)
+    floor = OptionChainSpec().iv_floor
+    assert (quotes.implied_vols == floor).any() and (quotes.implied_vols > floor).any()
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.int64).tolist()
+
+
+CALLS = st.tuples(
+    st.floats(0.5, 1e5),                                      # index
+    st.one_of(st.just(1.0), st.floats(0.2, 5.0)),             # strike / index
+    st.one_of(st.sampled_from((0.0, -0.5)), st.floats(1e-6, 2.0)),  # years
+    st.one_of(st.sampled_from((0.0, -0.1)), st.floats(1e-3, 3.0)),  # sigma
+)
+
+
+@settings(max_examples=200)
+@given(calls=st.lists(CALLS, min_size=1, max_size=30))
+def test_black_scholes_on_arrays_matches_scalar_bit_for_bit(calls):
+    calls = [(index, index * m, years, sigma) for index, m, years, sigma in calls]
+    price, delta = black_scholes_call(*map(np.array, zip(*calls)))
+    expected = [oracles.reference_black_scholes_call(*c) for c in calls]
+    assert _bits(price) == _bits([p for p, _ in expected])
+    assert _bits(delta) == _bits([d for _, d in expected])
+    assert _bits(black_scholes_call(*calls[0])) == _bits(expected[0])
+
+
+AR_VALUES = st.one_of(st.sampled_from((0.0, -0.0, 5e-324, -5e-324, 2.2e-308)),
+                      st.floats(-1.0, 1.0))
+
+
+@settings(max_examples=200)
+@given(x=arrays(np.float64, st.integers(1, 5000), elements=AR_VALUES),
+       b=st.one_of(st.sampled_from((0.0, -0.0)), st.floats(-0.99, 0.99)))
+def test_ar1_matches_lfilter_bit_for_bit(x, b):
+    from scipy.signal import lfilter
+    assert _bits(_ar1(x, b)) == _bits(lfilter([1.0], [1.0, -b], x))
 
 
 def test_plant_and_recover_sign_classification():
