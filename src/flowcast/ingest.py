@@ -3,19 +3,20 @@
 One table codec reads and writes every file (RFC 4180, UTF-8, header
 required). A schema (``FLOWS``, ``BARS``, ``OPTIONS``) gives each file's
 columns with their kinds, its row checks and the key no two rows may share.
-The reader converts and checks whole columns, reports the first faulty
-line's first fault with its line number, and returns the columns stably
-sorted by the key. Timestamps are ISO-8601 UTC only. The writer emits the
-canonical text, so ``write(parse(f))`` is a fixed point for well-formed
-files: comma-joined lines ending in ``\\n``, timestamps as
-``YYYY-MM-DDTHH:MM:SSZ`` (four-digit year), floats as their shortest
-round-trip ``repr``, assets and integers as they are.
+The reader converts and checks whole columns (numpy's C reader takes a
+file in canonical form), reports the first faulty line's first fault with
+its line number, and returns the columns stably sorted by the key.
+Timestamps are ISO-8601 UTC only. The writer emits the canonical text, so
+``write(parse(f))`` is a fixed point for well-formed files: comma-joined
+lines ending in ``\\n``, timestamps as ``YYYY-MM-DDTHH:MM:SSZ`` (four-digit
+year), floats as their shortest round-trip ``repr``, assets and integers as they are.
 """
 
 from __future__ import annotations
 
 import csv
 import enum
+import io
 import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
@@ -191,12 +192,16 @@ class QuoteSeries:
 class Kind(NamedTuple):
     """A column type: ``parse(field, name)`` converts one field or raises
     ValueError; ``fast(fields)`` converts a column to its values and a mask
-    of the fields it took, or raises ValueError if it can take none."""
+    of the fields it took, or raises ValueError if it can take none. ``text``
+    is the dtype ``np.loadtxt`` reads the column's canonical form as, and
+    ``take`` turns that column into its values and mask, like ``fast``."""
 
     parse: Callable[[str, str], object] | None
     fast: Callable[[Sequence[str]], tuple[np.ndarray, np.ndarray]] | None
     dtype: str
     format: Callable[[np.ndarray], list[str]]
+    text: str | None = None
+    take: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
 
 
 def _parse_ts(text: str, name: str) -> int:
@@ -230,24 +235,28 @@ def _parse_asset(text: str, name: str) -> str:
         raise ValueError(f"unknown {name} {text!r}") from None
 
 
-_CANONICAL = np.frombuffer(b"0000-00-00T00:00:00Z", np.uint8)  # each 0 stands for a digit
+_CANONICAL = np.frombuffer(b"0000-00-00T00:00:00Z\0", np.uint8)  # each 0 stands for a digit
 
 
-def _fast_timestamps(fields: Sequence[str], step: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """Takes the fields spelt YYYY-MM-DDTHH:MM:SSZ (not year 0000, which
-    ``parse`` rejects) whose epoch is a multiple of ``step``."""
-    n = len(fields)
-    text = np.array(fields, dtype="S20")  # raises on non-ASCII text
-    b = text.view(np.uint8).reshape(n, 20)
-    took = ((np.fromiter(map(len, fields), np.int64, n) == 20) & (b[:, :4] != 48).any(1)
-            & np.where(_CANONICAL == 48, (b >= 48) & (b <= 57), b == _CANONICAL).all(1))
+def _take_timestamps(text: np.ndarray, step: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Takes the ``S21`` texts spelt YYYY-MM-DDTHH:MM:SSZ, not in year 0000
+    (which ``parse`` rejects) and with a NUL 21st byte (a cast to ``S21``
+    truncates a longer text), whose epoch is a multiple of ``step``."""
+    b = np.ascontiguousarray(text).view(np.uint8).reshape(len(text), 21)
+    took = (b[:, :4] != 48).any(1) & np.where(_CANONICAL == 48, (b >= 48) & (b <= 57),
+                                              b == _CANONICAL).all(1)
     values = np.where(took, text.astype("S19"), b"1970-01-01T00:00:00").astype(
         "datetime64[s]").astype(np.int64)  # raises on a date such as 2021-02-29
     return values, took & (values % step == 0)
 
 
-def _fast_numbers(fields: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-    values = np.fromiter(map(float, fields), np.float64, len(fields))
+def _fast_timestamps(fields: Sequence[str], step: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    values, took = _take_timestamps(np.array(fields, dtype="S21"), step)  # raises on non-ASCII
+    # The cast drops trailing NULs, which ``parse`` rejects.
+    return values, took & (np.fromiter(map(len, fields), np.int64, len(fields)) == 20)
+
+
+def _finite(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return values, np.isfinite(values)
 
 
@@ -262,11 +271,16 @@ def _timestamp_text(col: np.ndarray) -> list[str]:
 
 
 _ASSETS = frozenset(a.value for a in Asset)
-TIMESTAMP = Kind(_parse_ts, _fast_timestamps, "int64", _timestamp_text)
-HOUR = Kind(_parse_hour, lambda fields: _fast_timestamps(fields, 3600), "int64", _timestamp_text)
-NUMBER = Kind(_parse_number, _fast_numbers, "float64",
-              lambda col: list(map(format_number, col.tolist())))
-ASSET = Kind(_parse_asset, _fast_assets, "U4", np.ndarray.tolist)
+_ASSET_TEXT = np.array(sorted(_ASSETS), "S5")  # S5: a cast truncates a longer text to no asset
+_PLAIN = b"0123456789.,:+-eETZ\n" + "".join(_ASSETS).encode()  # the bytes of canonical rows
+TIMESTAMP = Kind(_parse_ts, _fast_timestamps, "int64", _timestamp_text, "S21", _take_timestamps)
+HOUR = Kind(_parse_hour, lambda fields: _fast_timestamps(fields, 3600), "int64", _timestamp_text,
+            "S21", lambda col: _take_timestamps(col, 3600))
+NUMBER = Kind(_parse_number,
+              lambda fields: _finite(np.fromiter(map(float, fields), np.float64, len(fields))),
+              "float64", lambda col: list(map(repr, col.tolist())), "f8", _finite)
+ASSET = Kind(_parse_asset, _fast_assets, "U4", np.ndarray.tolist,
+             "S5", lambda col: (col.astype("U4"), np.isin(col, _ASSET_TEXT)))
 INTEGER = Kind(None, None, "int64", lambda col: list(map(str, col.tolist())))  # written only
 
 
@@ -343,14 +357,59 @@ def _convert(kind: Kind, fields: Sequence[str], name: str) -> tuple[np.ndarray, 
 def read_table(path: str | Path, schema: Schema) -> list[np.ndarray]:
     """Parse and check one CSV file; its columns, stably sorted by the key.
 
-    Columns are converted and checked whole, and ``check_row`` raises the
-    first faulty record's error. A bad field count, a ``csv.Error`` or a
-    byte that is not UTF-8 is reported only if no earlier record is faulty.
+    A file in the canonical form ``write_table`` emits is read whole by
+    numpy's C reader; any other file, and any file that fails a check, by
+    ``csv``, which gives the same values and raises the first faulty
+    record's error. A bad field count, a ``csv.Error`` or a byte that is not
+    UTF-8 is reported only if no earlier record is faulty.
     """
+    data = Path(path).read_bytes()
+    columns = _load_canonical(data, schema)
+    if columns is None:
+        columns = _read_records(data, path, schema)
+    order = np.lexsort([columns[j] for j in reversed(schema.key)])
+    columns = [col[order] for col in columns]
+    repeated = np.logical_and.reduce([columns[j][1:] == columns[j][:-1] for j in schema.key])
+    if repeated.any():
+        i = int(np.flatnonzero(repeated)[0])
+        raise schema.duplicate(", ".join(schema.columns[j][1].format(columns[j][i:i + 1])[0]
+                                         for j in schema.key))
+    return columns
+
+
+def _load_canonical(data: bytes, schema: Schema) -> list[np.ndarray] | None:
+    """The unsorted columns of a canonical file whose fields convert and rows
+    pass their checks, or None. Canonical: the exact header line, then rows
+    of ``_PLAIN`` bytes ending in ``\\n``, none blank or over the field limit."""
+    head = ",".join(name for name, _ in schema.columns).encode() + b"\n"
+    body = data[len(head):]
+    if not data.startswith(head) or not body.endswith(b"\n") or body.translate(None, _PLAIN):
+        return None
+    ends = np.flatnonzero(np.frombuffer(body, np.uint8) == 10)
+    widths = np.diff(ends, prepend=-1)  # each line's length with its newline
+    if widths.min() < 2 or widths.max() > csv.field_size_limit() + 1:
+        return None
+    dtype = [(name, kind.text) for name, kind in schema.columns]
+    for rows in (1, None):  # the first row alone declines a file in other spellings early
+        try:  # loadtxt reads a number with PyOS_string_to_double, as float() does
+            table = np.loadtxt(io.BytesIO(body), dtype, delimiter=",", comments=None,
+                               quotechar=None, ndmin=1, encoding="ascii", max_rows=rows)
+            converted = [kind.take(table[name]) for name, kind in schema.columns]
+        except ValueError:  # a field that is not a number, a wrong field count, a bad date
+            return None
+        columns = [values for values, _ in converted]
+        if np.logical_or.reduce([~took for _, took in converted]
+                                + [bad(columns) for bad, _ in schema.checks]).any():
+            return None
+    return columns
+
+
+def _read_records(data: bytes, path: str | Path, schema: Schema) -> list[np.ndarray]:
+    """The unsorted columns of ``data`` read by ``csv``; raises its first fault."""
     header = [name for name, _ in schema.columns]
     records: list[list[str]] = []
     fault = None
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
             first = next(reader, None)
@@ -384,13 +443,6 @@ def read_table(path: str | Path, schema: Schema) -> list[np.ndarray]:
         raise RuntimeError(f"line {lines[faulty[0]]}: column and row checks disagree")
     if fault is not None:
         raise fault
-    order = np.lexsort([columns[j] for j in reversed(schema.key)])
-    columns = [col[order] for col in columns]
-    repeated = np.logical_and.reduce([columns[j][1:] == columns[j][:-1] for j in schema.key])
-    if repeated.any():
-        i = int(np.flatnonzero(repeated)[0])
-        raise schema.duplicate(", ".join(schema.columns[j][1].format(columns[j][i:i + 1])[0]
-                                         for j in schema.key))
     return columns
 
 

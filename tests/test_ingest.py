@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowcast import errors
+from flowcast.cli import main
 from flowcast.ingest import (
     ASSET,
     BARS,
@@ -31,7 +32,9 @@ from flowcast.ingest import (
     parse_timestamp,
     quotes_to_csv,
     read_table,
+    write_table,
 )
+from flowcast.ingest import _load_canonical, _read_records
 from oracles import reference_read_table
 
 FLOWS_HEADER = "timestamp,asset,inflow_usd,outflow_usd\n"
@@ -521,6 +524,10 @@ def outcome(read, path, schema):
         columns = read(path, schema)
     except errors.FlowcastError as exc:
         return type(exc), str(exc), getattr(exc, "line", None)
+    return column_bytes(columns)
+
+
+def column_bytes(columns):
     return [(col.dtype.str, col.tobytes()) for col in columns]
 
 
@@ -584,66 +591,119 @@ def valid_rows(name):
     return st.lists(quote_rows(), unique_by=lambda r: r[:3], max_size=12)
 
 
+FAULTS = ["field", "field", "check", "check", "few", "many", "oversized", "utf8", "duplicate"]
+PLAIN_FAULTS = ["1e999", "feb29", "long-timestamp", "check", "few", "many", "oversized",
+                "at-limit", "duplicate", "blank", "no-final-newline"]  # spelt in canonical bytes
+
+
 @st.composite
-def table_files(draw, name):
-    """The bytes of a file for schema ``name``: valid rows in random
-    spellings, blank and quoted-newline records, and up to two faults."""
+def table_files(draw, name, canonical=False):
+    """(clean, bytes) of a file for schema ``name``: valid rows in random
+    spellings, blank and quoted-newline records, and up to two faults. With
+    ``canonical``, ``write_table``'s spelling of each field and at most one
+    fault spelt in its bytes; ``clean`` says the file is canonical, has a row
+    and has no fault."""
     columns = SCHEMAS[name].columns
-    rows = [[draw(st.sampled_from(SPELLINGS[kind](value)))
-             for (_, kind), value in zip(columns, row)] for row in draw(valid_rows(name))]
+    spell = (lambda s: s[0]) if canonical else (lambda s: draw(st.sampled_from(s)))
+    rows = [[spell(SPELLINGS[kind](value)) for (_, kind), value in zip(columns, row)]
+            for row in draw(valid_rows(name))]
+    stamps = [j for j, (_, kind) in enumerate(columns) if kind in (TIMESTAMP, HOUR)]
+    numbers = [j for j, (_, kind) in enumerate(columns) if kind is NUMBER]
+    faults = PLAIN_FAULTS + (["expired"] if name == "options" else []) if canonical else FAULTS
     byte_fault = None
-    for _ in range(draw(st.integers(0, 2)) if rows else 0):
+    drawn = draw(st.lists(st.sampled_from(faults), max_size=(1 if canonical else 2) if rows else 0))
+    for fault in drawn:
         i = draw(st.integers(0, len(rows) - 1))
-        fault = draw(st.sampled_from(["field", "field", "check", "check", "few", "many",
-                                      "oversized", "utf8", "duplicate"]))
         j = draw(st.integers(0, len(columns) - 1))
         if fault in ("field", "check", "oversized") and len(rows[i]) != len(columns):
             continue  # a field-count fault took this row already
         if fault == "field":
             rows[i][j] = draw(st.sampled_from(BAD_FIELDS[columns[j][1]]))
+        elif fault == "1e999":
+            rows[i][draw(st.sampled_from(numbers))] = "1e999"
+        elif fault == "feb29":
+            rows[i][draw(st.sampled_from(stamps))] = "2021-02-29T00:00:00Z"
+        elif fault == "long-timestamp":
+            k = draw(st.sampled_from(stamps))
+            c = rows[i][k]
+            rows[i][k] = draw(st.sampled_from([c[:-1] + "+00:00", c[:-1] + ".000Z", "1" + c,
+                                               c + "Z"]))
         elif fault == "check":
             j, rows[i][j] = draw(st.sampled_from(CHECK_FAULTS[name]))
         elif fault == "few":
             rows[i] = rows[i][:-1]
         elif fault == "many":
             rows[i] = rows[i] + ["0"]
-        elif fault == "oversized":
+        elif fault == "oversized" and not canonical:
             rows[i][j] = "1" * 131073
+        elif fault in ("oversized", "at-limit"):  # a number field over the limit, or at it
+            k = draw(st.sampled_from(numbers))
+            rows[i][k] = rows[i][k].rjust(131072 + (fault == "oversized"), "0")
+        elif fault == "expired":
+            rows[i][2] = rows[i][0]
         elif fault == "utf8":
             byte_fault = i
-        else:
+        elif fault == "duplicate":
             rows.insert(i, list(rows[draw(st.integers(0, len(rows) - 1))]))
     lines = [csv_line(row).encode() for row in rows]
     if byte_fault is not None:
         lines[byte_fault] = b"\xff" + lines[byte_fault]
-    for _ in range(draw(st.integers(0, 2))):
-        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from([b"\n", b"  \n"])))
-    return csv_line([n for n, _ in columns]).encode() + b"".join(lines)
+    blanks = [b"\n"] * ("blank" in drawn) if canonical else [
+        draw(st.sampled_from([b"\n", b"  \n"])) for _ in range(draw(st.integers(0, 2)))]
+    for blank in blanks:
+        lines.insert(draw(st.integers(0, len(lines))), blank)
+    data = csv_line([n for n, _ in columns]).encode() + b"".join(lines)
+    return canonical and bool(rows) and not drawn, data[:-1] if "no-final-newline" in drawn else data
 
 
-def read_both(name, data):
+def read_both(name, drawn):
+    """The readers agree. The C pass takes every clean file, and reads what
+    the csv path reads from any file it takes."""
+    clean, data = drawn
     with tempfile.TemporaryDirectory() as d:
         path = Path(d) / f"{name}.csv"
         path.write_bytes(data)
-        return assert_readers_agree(path, SCHEMAS[name])
+        assert_readers_agree(path, SCHEMAS[name])
+        loaded = _load_canonical(data, SCHEMAS[name])
+        assert loaded is not None or not clean
+        if loaded is not None:
+            assert column_bytes(loaded) == column_bytes(_read_records(data, path, SCHEMAS[name]))
 
 
 @settings(max_examples=300)
 @given(table_files("flows"))
-def test_flows_reader_matches_reference(data):
-    read_both("flows", data)
+def test_flows_reader_matches_reference(drawn):
+    read_both("flows", drawn)
 
 
 @settings(max_examples=300)
 @given(table_files("bars"))
-def test_bars_reader_matches_reference(data):
-    read_both("bars", data)
+def test_bars_reader_matches_reference(drawn):
+    read_both("bars", drawn)
 
 
 @settings(max_examples=300)
 @given(table_files("options"))
-def test_options_reader_matches_reference(data):
-    read_both("options", data)
+def test_options_reader_matches_reference(drawn):
+    read_both("options", drawn)
+
+
+@settings(max_examples=200)
+@given(table_files("flows", canonical=True))
+def test_flows_c_pass_matches_reference(drawn):
+    read_both("flows", drawn)
+
+
+@settings(max_examples=200)
+@given(table_files("bars", canonical=True))
+def test_bars_c_pass_matches_reference(drawn):
+    read_both("bars", drawn)
+
+
+@settings(max_examples=200)
+@given(table_files("options", canonical=True))
+def test_options_c_pass_matches_reference(drawn):
+    read_both("options", drawn)
 
 
 def fast_takes(kind, text):
@@ -653,18 +713,33 @@ def fast_takes(kind, text):
         return False
 
 
-@pytest.mark.parametrize("schema,column,text,taken", [
-    ("flows", 2, " 1.5 ", True), ("flows", 2, "1_000", True), ("flows", 2, "١", True),
-    ("flows", 2, "inf", False), ("flows", 2, "-Infinity", False), ("flows", 2, "nan", False),
-    ("flows", 2, "0x1p3", False), ("flows", 2, "1e309", False), ("flows", 2, "-0.0", True),
-    ("flows", 1, "USDTX", False), ("flows", 1, " ETH ", True),
-    ("bars", 0, "0000-01-01T00:00:00Z", False), ("bars", 0, "2020-02-29T00:00:00Z", True),
-    ("bars", 0, "2021-02-29T00:00:00Z", False), ("bars", 0, "2021-01-01 00:00:00Z", False),
-    ("bars", 0, "2021-01-01T00:00:00+00:00", False), ("bars", 0, "2021-01-01T00:00:00Z ", False),
-    ("bars", 0, "12021-01-01T00:00:00Z", False), ("bars", 0, "2021-01-01T00:00:0٠Z", False),
-    ("flows", 0, "2021-01-01T00:30:00Z", False), ("flows", 0, "2021-01-01T01:00:00Z", True),
-])
-def test_fast_path_spellings_match_reference(tmp_path, schema, column, text, taken):
+SPELLING_CASES = [
+    # (schema, column, text, taken by the column's csv fast path, file taken by the C pass)
+    ("flows", 2, " 1.5 ", True, False), ("flows", 2, "1_000", True, False),
+    ("flows", 2, "١", True, False), ("flows", 2, "inf", False, False),
+    ("flows", 2, "-Infinity", False, False), ("flows", 2, "nan", False, False),
+    ("flows", 2, "0x1p3", False, False), ("flows", 2, "1e309", False, False),
+    ("flows", 2, "-0.0", True, True), ("flows", 2, "+1.5", True, True),
+    ("flows", 2, ".5", True, True), ("flows", 2, "1E+2", True, True),
+    ("flows", 1, "USDTX", False, False), ("flows", 1, " ETH ", True, False),
+    ("flows", 1, "USDTE", False, False), ("flows", 1, "USDTETH", False, False),
+    ("bars", 0, "0000-01-01T00:00:00Z", False, False),
+    ("bars", 0, "2020-02-29T00:00:00Z", True, True),
+    ("bars", 0, "2021-02-29T00:00:00Z", False, False),
+    ("bars", 0, "2021-01-01 00:00:00Z", False, False),
+    ("bars", 0, "2021-01-01T00:00:00+00:00", False, False),
+    ("bars", 0, "2021-01-01T00:00:00Z ", False, False),
+    ("bars", 0, "12021-01-01T00:00:00Z", False, False),
+    ("bars", 0, "2021-01-01T00:00:00ZZ", False, False),
+    ("bars", 0, "2021-01-01T00:00:0٠Z", False, False),
+    ("flows", 0, "2021-01-01T00:30:00Z", False, False),
+    ("flows", 0, "2021-01-01T01:00:00Z", True, True),
+]
+
+
+@pytest.mark.parametrize("schema,column,text,taken,loaded", SPELLING_CASES,
+                         ids=["-".join(map(str, case[:4])) for case in SPELLING_CASES])
+def test_fast_path_spellings_match_reference(tmp_path, schema, column, text, taken, loaded):
     template = {"flows": ["2022-05-12T13:00:00Z", "ETH", "1", "0"],
                 "bars": ["2022-01-01T12:00:00Z", "100", "101", "99", "100.5"]}[schema]
     fields = template[:column] + [text] + template[column + 1:]
@@ -672,6 +747,22 @@ def test_fast_path_spellings_match_reference(tmp_path, schema, column, text, tak
     path.write_text(GOOD[schema] + csv_line(fields), encoding="utf-8")
     assert_readers_agree(path, SCHEMAS[schema])
     assert fast_takes(SCHEMAS[schema].columns[column][1], text) is taken
+    assert (_load_canonical(path.read_bytes(), SCHEMAS[schema]) is not None) is loaded
+
+
+def test_synth_dataset_is_read_by_the_c_pass(tmp_path, monkeypatch):
+    # A declined file would fall back to csv.reader silently, with the same values.
+    assert main(["synth", "--seed", "7", "--hours", "200", "--out", str(tmp_path)]) == 0
+
+    def no_csv(*args, **kwargs):
+        raise AssertionError("csv.reader called")
+
+    monkeypatch.setattr(csv, "reader", no_csv)
+    assert len(parse_flows(tmp_path / "flows.csv")) == 3 * 200
+    for name in ("bars_eth.csv", "bars_btc.csv"):
+        bars, gaps = parse_bars(tmp_path / name, timedelta(minutes=5))
+        assert len(bars) == 12 * 200 and gaps == []
+    assert len(parse_option_quotes(tmp_path / "options.csv")) > 0
 
 
 def test_fast_timestamps_take_exactly_the_dates_parse_timestamp_accepts():
