@@ -3,9 +3,9 @@
 One table codec reads and writes every file (RFC 4180, UTF-8, header
 required). A schema (``FLOWS``, ``BARS``, ``OPTIONS``) gives each file's
 columns with their kinds, its row checks and the key no two rows may share.
-The reader converts and checks whole columns (numpy's C reader takes a
-file in canonical form), reports the first faulty line's first fault with
-its line number, and returns the columns stably sorted by the key.
+The reader takes a canonical file whole with numpy's C reader and any
+other file one record at a time, reports the first faulty line's first
+fault with its line number, and returns the columns stably sorted by the key.
 Timestamps are ISO-8601 UTC only. The writer emits the canonical text, so
 ``write(parse(f))`` is a fixed point for well-formed files: comma-joined
 lines ending in ``\\n``, timestamps as ``YYYY-MM-DDTHH:MM:SSZ`` (four-digit
@@ -191,13 +191,10 @@ class QuoteSeries:
 
 class Kind(NamedTuple):
     """A column type: ``parse(field, name)`` converts one field or raises
-    ValueError; ``fast(fields)`` converts a column to its values and a mask
-    of the fields it took, or raises ValueError if it can take none. ``text``
-    is the dtype ``np.loadtxt`` reads the column's canonical form as, and
-    ``take`` turns that column into its values and mask, like ``fast``."""
+    ValueError; ``take`` turns the column ``np.loadtxt`` read as the dtype
+    ``text`` into its values and a mask of the fields it took."""
 
     parse: Callable[[str, str], object] | None
-    fast: Callable[[Sequence[str]], tuple[np.ndarray, np.ndarray]] | None
     dtype: str
     format: Callable[[np.ndarray], list[str]]
     text: str | None = None
@@ -250,19 +247,8 @@ def _take_timestamps(text: np.ndarray, step: int = 1) -> tuple[np.ndarray, np.nd
     return values, took & (values % step == 0)
 
 
-def _fast_timestamps(fields: Sequence[str], step: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    values, took = _take_timestamps(np.array(fields, dtype="S21"), step)  # raises on non-ASCII
-    # The cast drops trailing NULs, which ``parse`` rejects.
-    return values, took & (np.fromiter(map(len, fields), np.int64, len(fields)) == 20)
-
-
 def _finite(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return values, np.isfinite(values)
-
-
-def _fast_assets(fields: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-    text = list(map(str.strip, fields))  # checked before the U4 cast truncates it
-    return np.array(text, "U4"), np.fromiter(map(_ASSETS.__contains__, text), bool, len(text))
 
 
 def _timestamp_text(col: np.ndarray) -> list[str]:
@@ -273,15 +259,12 @@ def _timestamp_text(col: np.ndarray) -> list[str]:
 _ASSETS = frozenset(a.value for a in Asset)
 _ASSET_TEXT = np.array(sorted(_ASSETS), "S5")  # S5: a cast truncates a longer text to no asset
 _PLAIN = b"0123456789.,:+-eETZ\n" + "".join(_ASSETS).encode()  # the bytes of canonical rows
-TIMESTAMP = Kind(_parse_ts, _fast_timestamps, "int64", _timestamp_text, "S21", _take_timestamps)
-HOUR = Kind(_parse_hour, lambda fields: _fast_timestamps(fields, 3600), "int64", _timestamp_text,
-            "S21", lambda col: _take_timestamps(col, 3600))
-NUMBER = Kind(_parse_number,
-              lambda fields: _finite(np.fromiter(map(float, fields), np.float64, len(fields))),
-              "float64", lambda col: list(map(repr, col.tolist())), "f8", _finite)
-ASSET = Kind(_parse_asset, _fast_assets, "U4", np.ndarray.tolist,
+TIMESTAMP = Kind(_parse_ts, "int64", _timestamp_text, "S21", _take_timestamps)
+HOUR = Kind(_parse_hour, "int64", _timestamp_text, "S21", lambda col: _take_timestamps(col, 3600))
+NUMBER = Kind(_parse_number, "float64", lambda col: list(map(repr, col.tolist())), "f8", _finite)
+ASSET = Kind(_parse_asset, "U4", np.ndarray.tolist,
              "S5", lambda col: (col.astype("U4"), np.isin(col, _ASSET_TEXT)))
-INTEGER = Kind(None, None, "int64", lambda col: list(map(str, col.tolist())))  # written only
+INTEGER = Kind(None, "int64", lambda col: list(map(str, col.tolist())))  # written only
 
 
 class Schema(NamedTuple):
@@ -307,7 +290,7 @@ BARS = Schema(
              ("low", NUMBER), ("close", NUMBER)),
     checks=((lambda v: (v[1] <= 0) | (v[2] <= 0) | (v[3] <= 0) | (v[4] <= 0),
              lambda n, f, v: NonPositivePrice(f"line {n}: non-positive price")),
-            (lambda v: (v[3] > np.minimum(v[1], v[4])) | (v[2] < np.maximum(v[1], v[4])),
+            (lambda v: (v[3] > v[1]) | (v[3] > v[4]) | (v[2] < v[1]) | (v[2] < v[4]),
              lambda n, f, v: MalformedRow(n, f"OHLC out of order ({', '.join(map(str, v[1:]))})"))),
     key=(0,), duplicate=lambda key: FrequencyMismatch(f"duplicate bar timestamp {key}"))
 OPTIONS = Schema(
@@ -338,31 +321,13 @@ def check_row(schema: Schema, lineno: int, fields: Sequence[str]) -> list:
     return values
 
 
-def _convert(kind: Kind, fields: Sequence[str], name: str) -> tuple[np.ndarray, np.ndarray]:
-    """A column's values and bad-field mask: the fast path, then ``parse`` on
-    each field it did not take (faults and other timestamp spellings)."""
-    try:
-        values, took = kind.fast(fields)
-    except ValueError:  # such as one field that is not a number: it takes no field
-        values, took = np.zeros(len(fields), kind.dtype), np.zeros(len(fields), bool)
-    bad = ~took
-    for i in np.flatnonzero(bad).tolist():
-        try:
-            values[i], bad[i] = kind.parse(fields[i], name), False
-        except ValueError:
-            pass
-    return values, bad
-
-
 def read_table(path: str | Path, schema: Schema) -> list[np.ndarray]:
     """Parse and check one CSV file; its columns, stably sorted by the key.
 
-    A file in the canonical form ``write_table`` emits is read whole by
-    numpy's C reader; any other file, and any file that fails a check, by
-    ``csv``, which gives the same values and raises the first faulty
+    A file ``_load_canonical`` takes is read whole by numpy's C reader; any
+    other by ``csv`` one record at a time, which raises the first faulty
     record's error. A bad field count, a ``csv.Error`` or a byte that is not
-    UTF-8 is reported only if no earlier record is faulty.
-    """
+    UTF-8 is reported only if no earlier record is faulty."""
     data = Path(path).read_bytes()
     columns = _load_canonical(data, schema)
     if columns is None:
@@ -379,16 +344,26 @@ def read_table(path: str | Path, schema: Schema) -> list[np.ndarray]:
 
 def _load_canonical(data: bytes, schema: Schema) -> list[np.ndarray] | None:
     """The unsorted columns of a canonical file whose fields convert and rows
-    pass their checks, or None. Canonical: the exact header line, then rows
-    of ``_PLAIN`` bytes ending in ``\\n``, none blank or over the field limit."""
+    pass their checks, or None. Canonical: the exact header line, then rows of
+    ``_PLAIN`` bytes ending in ``\\n``, none over the field limit, once the
+    spellings below are rewritten and blank lines dropped."""
     head = ",".join(name for name, _ in schema.columns).encode() + b"\n"
+    if b"\r" in data:  # a lone CR stays and declines the file
+        data = data.replace(b"\r\n", b"\n")
     body = data[len(head):]
+    if b"+" in body:  # a one-byte test is a memchr: canonical files pay no search
+        body = body.replace(b"+00:00", b"Z")  # converts only if it was ...:SS+00:00
+    if b" " in body:  # str(datetime), which csv.writer writes, puts a space for T
+        for hour in (b"0", b"1", b"2"):  # no asset or number converts with a T before a digit
+            body = body.replace(b" " + hour, b"T" + hour)
     if not data.startswith(head) or not body.endswith(b"\n") or body.translate(None, _PLAIN):
         return None
     ends = np.flatnonzero(np.frombuffer(body, np.uint8) == 10)
     widths = np.diff(ends, prepend=-1)  # each line's length with its newline
-    if widths.min() < 2 or widths.max() > csv.field_size_limit() + 1:
-        return None
+    if widths.max() < 2 or widths.max() > csv.field_size_limit() + 1:
+        return None  # no row (loadtxt warns on it), or a line over the limit
+    if widths.min() < 2:  # line numbers matter only in an error, which csv reports
+        body = np.delete(np.frombuffer(body, np.uint8), ends[widths < 2]).tobytes()
     dtype = [(name, kind.text) for name, kind in schema.columns]
     for rows in (1, None):  # the first row alone declines a file in other spellings early
         try:  # loadtxt reads a number with PyOS_string_to_double, as float() does
@@ -405,10 +380,10 @@ def _load_canonical(data: bytes, schema: Schema) -> list[np.ndarray] | None:
 
 
 def _read_records(data: bytes, path: str | Path, schema: Schema) -> list[np.ndarray]:
-    """The unsorted columns of ``data`` read by ``csv``; raises its first fault."""
+    """The unsorted columns of ``data`` read by ``csv`` one record at a time;
+    raises its first fault. Blank records are skipped but counted as lines."""
     header = [name for name, _ in schema.columns]
-    records: list[list[str]] = []
-    fault = None
+    rows = []
     with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -417,33 +392,18 @@ def _read_records(data: bytes, path: str | Path, schema: Schema) -> list[np.ndar
                 raise MalformedRow(1, f"missing header; expected {','.join(header)}")
             if [h.strip() for h in first] != header:
                 raise MalformedRow(1, f"bad header {first!r}; expected {','.join(header)}")
-            records.extend(reader)  # on a fault, keeps the records read before it
+            for lineno, fields in enumerate(reader, start=2):
+                if not fields or (len(fields) == 1 and not fields[0].strip()):
+                    continue
+                if len(fields) != len(header):
+                    raise MalformedRow(lineno, f"expected {len(header)} fields, got {len(fields)}")
+                rows.append(check_row(schema, lineno, fields))
         except UnicodeDecodeError:  # the decoder reads ahead in blocks: no line number
-            fault = ValidationError(f"{path}: not valid UTF-8")
+            raise ValidationError(f"{path}: not valid UTF-8") from None
         except csv.Error as exc:
-            fault = MalformedRow(reader.line_num, str(exc))
-    width = np.fromiter(map(len, records), np.int64, len(records))
-    blank = width == 0
-    for i in np.flatnonzero(width == 1).tolist():
-        blank[i] = not records[i][0].strip()
-    miscounted = np.flatnonzero((width != len(header)) & ~blank)
-    if len(miscounted):
-        end = int(miscounted[0])
-        fault = MalformedRow(end + 2, f"expected {len(header)} fields, got {width[end]}")
-        records, blank = records[:end], blank[:end]
-    lines = np.flatnonzero(~blank) + 2  # record i is on line i + 2
-    rows = [records[i - 2] for i in lines.tolist()] if blank.any() else records
-    converted = [_convert(kind, col, name) for (name, kind), col
-                 in zip(schema.columns, zip(*rows) if rows else [()] * len(header))]
-    columns = [values for values, _ in converted]
-    faulty = np.flatnonzero(np.logical_or.reduce([bad for _, bad in converted]
-                                                 + [bad(columns) for bad, _ in schema.checks]))
-    if len(faulty):
-        check_row(schema, int(lines[faulty[0]]), rows[faulty[0]])
-        raise RuntimeError(f"line {lines[faulty[0]]}: column and row checks disagree")
-    if fault is not None:
-        raise fault
-    return columns
+            raise MalformedRow(reader.line_num, str(exc)) from None
+    return [np.array(col, dtype=kind.dtype) for (_, kind), col
+            in zip(schema.columns, zip(*rows) if rows else [()] * len(header))]
 
 
 def write_table(columns: Sequence[tuple[str, Kind]], values: Sequence) -> str:

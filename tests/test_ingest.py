@@ -32,6 +32,7 @@ from flowcast.ingest import (
     parse_timestamp,
     quotes_to_csv,
     read_table,
+    to_datetime,
     write_table,
 )
 from flowcast.ingest import _load_canonical, _read_records
@@ -593,24 +594,31 @@ def valid_rows(name):
 
 FAULTS = ["field", "field", "check", "check", "few", "many", "oversized", "utf8", "duplicate"]
 PLAIN_FAULTS = ["1e999", "feb29", "long-timestamp", "check", "few", "many", "oversized",
-                "at-limit", "duplicate", "blank", "no-final-newline"]  # spelt in canonical bytes
+                "at-limit", "duplicate", "blank", "no-final-newline", "lone-cr",
+                "space"]  # spelt in bytes the C pass reads or rewrites
 
 
 @st.composite
 def table_files(draw, name, canonical=False):
     """(clean, bytes) of a file for schema ``name``: valid rows in random
     spellings, blank and quoted-newline records, and up to two faults. With
-    ``canonical``, ``write_table``'s spelling of each field and at most one
-    fault spelt in its bytes; ``clean`` says the file is canonical, has a row
-    and has no fault."""
+    ``canonical``, ``write_table``'s spelling of each field, except that each
+    row may spell its timestamps with ``+00:00`` for ``Z`` or a space for
+    ``T``, LF or CRLF line ends and at most one fault spelt in those bytes;
+    ``clean`` says the file is such, has a row and has no fault but a blank line."""
     columns = SCHEMAS[name].columns
     spell = (lambda s: s[0]) if canonical else (lambda s: draw(st.sampled_from(s)))
     rows = [[spell(SPELLINGS[kind](value)) for (_, kind), value in zip(columns, row)]
             for row in draw(valid_rows(name))]
     stamps = [j for j, (_, kind) in enumerate(columns) if kind in (TIMESTAMP, HOUR)]
+    crlf = canonical and draw(st.booleans())
+    for row in rows if canonical else []:
+        utc, sep = draw(st.sampled_from(["Z", "+00:00"])), draw(st.sampled_from(["T", " "]))
+        for k in stamps:
+            row[k] = row[k].replace("Z", utc).replace("T", sep)
     numbers = [j for j, (_, kind) in enumerate(columns) if kind is NUMBER]
     faults = PLAIN_FAULTS + (["expired"] if name == "options" else []) if canonical else FAULTS
-    byte_fault = None
+    byte_fault = lone_cr = None
     drawn = draw(st.lists(st.sampled_from(faults), max_size=(1 if canonical else 2) if rows else 0))
     for fault in drawn:
         i = draw(st.integers(0, len(rows) - 1))
@@ -643,17 +651,26 @@ def table_files(draw, name, canonical=False):
             rows[i][2] = rows[i][0]
         elif fault == "utf8":
             byte_fault = i
+        elif fault == "lone-cr":
+            lone_cr = i
+        elif fault == "space":  # such as E H for ETH, which no rewrite may make ETH
+            k = draw(st.sampled_from([k for k in range(len(columns)) if k not in stamps]))
+            rows[i][k] = rows[i][k].replace("T", " ") if "T" in rows[i][k] else rows[i][k] + " 1"
         elif fault == "duplicate":
             rows.insert(i, list(rows[draw(st.integers(0, len(rows) - 1))]))
     lines = [csv_line(row).encode() for row in rows]
     if byte_fault is not None:
         lines[byte_fault] = b"\xff" + lines[byte_fault]
+    if lone_cr is not None:
+        lines[lone_cr] = lines[lone_cr][:-1] + b"\r"
     blanks = [b"\n"] * ("blank" in drawn) if canonical else [
         draw(st.sampled_from([b"\n", b"  \n"])) for _ in range(draw(st.integers(0, 2)))]
     for blank in blanks:
         lines.insert(draw(st.integers(0, len(lines))), blank)
     data = csv_line([n for n, _ in columns]).encode() + b"".join(lines)
-    return canonical and bool(rows) and not drawn, data[:-1] if "no-final-newline" in drawn else data
+    data = data[:-1] if "no-final-newline" in drawn else data
+    clean = canonical and bool(rows) and drawn in ([], ["blank"])  # csv skips a blank line
+    return clean, data.replace(b"\n", b"\r\n") if crlf else data
 
 
 def read_both(name, drawn):
@@ -708,50 +725,58 @@ def test_options_c_pass_matches_reference(drawn):
 
 def fast_takes(kind, text):
     try:
-        return bool(kind.fast([text])[1][0])
-    except ValueError:
+        return bool(kind.take(np.array([text], kind.text))[1][0])
+    except ValueError:  # such as a text that is not ASCII
         return False
 
 
 SPELLING_CASES = [
-    # (schema, column, text, taken by the column's csv fast path, file taken by the C pass)
-    ("flows", 2, " 1.5 ", True, False), ("flows", 2, "1_000", True, False),
-    ("flows", 2, "١", True, False), ("flows", 2, "inf", False, False),
+    # (schema, column, text, file taken by the C pass, id suffix); the suffix only
+    # completes the test id, and in the first 27 keeps the id earlier versions gave
+    ("flows", 2, " 1.5 ", False, True), ("flows", 2, "1_000", False, True),
+    ("flows", 2, "١", False, True), ("flows", 2, "inf", False, False),
     ("flows", 2, "-Infinity", False, False), ("flows", 2, "nan", False, False),
     ("flows", 2, "0x1p3", False, False), ("flows", 2, "1e309", False, False),
     ("flows", 2, "-0.0", True, True), ("flows", 2, "+1.5", True, True),
     ("flows", 2, ".5", True, True), ("flows", 2, "1E+2", True, True),
-    ("flows", 1, "USDTX", False, False), ("flows", 1, " ETH ", True, False),
+    ("flows", 1, "USDTX", False, False), ("flows", 1, " ETH ", False, True),
     ("flows", 1, "USDTE", False, False), ("flows", 1, "USDTETH", False, False),
     ("bars", 0, "0000-01-01T00:00:00Z", False, False),
     ("bars", 0, "2020-02-29T00:00:00Z", True, True),
     ("bars", 0, "2021-02-29T00:00:00Z", False, False),
-    ("bars", 0, "2021-01-01 00:00:00Z", False, False),
-    ("bars", 0, "2021-01-01T00:00:00+00:00", False, False),
+    ("bars", 0, "2021-01-01 00:00:00Z", True, False),
+    ("bars", 0, "2021-01-01T00:00:00+00:00", True, False),
     ("bars", 0, "2021-01-01T00:00:00Z ", False, False),
     ("bars", 0, "12021-01-01T00:00:00Z", False, False),
     ("bars", 0, "2021-01-01T00:00:00ZZ", False, False),
     ("bars", 0, "2021-01-01T00:00:0٠Z", False, False),
     ("flows", 0, "2021-01-01T00:30:00Z", False, False),
     ("flows", 0, "2021-01-01T01:00:00Z", True, True),
+    # spaces and +00:00 in other places than a timestamp's T and Z: no rewrite may take them
+    ("flows", 1, "E H", False, "rewrite"), ("flows", 1, "USD ", False, "rewrite"),
+    ("flows", 2, "1 0", False, "rewrite"), ("flows", 2, "1+00:00", False, "rewrite"),
+    ("bars", 0, "2021-01-01T00:00+00:00", False, "rewrite"),
+    ("bars", 0, "2021-01-01 00:00:00 +00:00", False, "rewrite"),
+    ("bars", 0, "2021-01-01  00:00:00Z", False, "rewrite"),
 ]
 
 
-@pytest.mark.parametrize("schema,column,text,taken,loaded", SPELLING_CASES,
-                         ids=["-".join(map(str, case[:4])) for case in SPELLING_CASES])
-def test_fast_path_spellings_match_reference(tmp_path, schema, column, text, taken, loaded):
+@pytest.mark.parametrize("schema,column,text,loaded", [c[:4] for c in SPELLING_CASES],
+                         ids=["-".join(map(str, c[:3] + c[4:])) for c in SPELLING_CASES])
+def test_fast_path_spellings_match_reference(tmp_path, schema, column, text, loaded):
     template = {"flows": ["2022-05-12T13:00:00Z", "ETH", "1", "0"],
                 "bars": ["2022-01-01T12:00:00Z", "100", "101", "99", "100.5"]}[schema]
     fields = template[:column] + [text] + template[column + 1:]
     path = tmp_path / f"{schema}.csv"
     path.write_text(GOOD[schema] + csv_line(fields), encoding="utf-8")
     assert_readers_agree(path, SCHEMAS[schema])
-    assert fast_takes(SCHEMAS[schema].columns[column][1], text) is taken
     assert (_load_canonical(path.read_bytes(), SCHEMAS[schema]) is not None) is loaded
 
 
 def test_synth_dataset_is_read_by_the_c_pass(tmp_path, monkeypatch):
     # A declined file would fall back to csv.reader silently, with the same values.
+    # Each file is read as written, with CRLF line ends, with +00:00 for Z, and
+    # as csv.writer writes its values with the timestamps as aware datetimes.
     assert main(["synth", "--seed", "7", "--hours", "200", "--out", str(tmp_path)]) == 0
 
     def no_csv(*args, **kwargs):
@@ -763,10 +788,25 @@ def test_synth_dataset_is_read_by_the_c_pass(tmp_path, monkeypatch):
         bars, gaps = parse_bars(tmp_path / name, timedelta(minutes=5))
         assert len(bars) == 12 * 200 and gaps == []
     assert len(parse_option_quotes(tmp_path / "options.csv")) > 0
+    files = {"flows.csv": FLOWS, "bars_eth.csv": BARS, "bars_btc.csv": BARS, "options.csv": OPTIONS}
+    for name, schema in files.items():
+        data = (tmp_path / name).read_bytes()
+        columns = read_table(tmp_path / name, schema)
+        text = io.StringIO()  # csv.writer's defaults: CRLF, and str() of an aware datetime
+        csv.writer(text).writerows([[n for n, _ in schema.columns]] + list(zip(*[
+            [to_datetime(t) for t in col.tolist()] if kind in (TIMESTAMP, HOUR) else col.tolist()
+            for (_, kind), col in zip(schema.columns, columns)])))
+        first = text.getvalue().split("\r\n")[1].split(",")[0]
+        assert first[10] == " " and first.endswith("+00:00")
+        for rewritten in (data.replace(b"\n", b"\r\n"), data.replace(b"Z", b"+00:00"),
+                          text.getvalue().encode()):
+            path = tmp_path / f"rewritten_{name}"
+            path.write_bytes(rewritten)
+            assert column_bytes(read_table(path, schema)) == column_bytes(columns)
 
 
 def test_fast_timestamps_take_exactly_the_dates_parse_timestamp_accepts():
-    # numpy's datetime parser is the fast path's; fromisoformat is the scalar
+    # numpy's datetime parser is the C pass's; fromisoformat is the scalar
     # path's. Every calendar field out of range on either side must agree.
     for year in ("0001", "1900", "2000", "2020", "2021", "9999"):
         for month in range(14):
@@ -785,7 +825,7 @@ def _assert_fast_agrees(text):
     taken = fast_takes(TIMESTAMP, text)
     assert taken is (expected is not None), text
     if taken:
-        assert TIMESTAMP.fast([text])[0][0] == expected, text
+        assert TIMESTAMP.take(np.array([text], TIMESTAMP.text))[0][0] == expected, text
 
 
 # ---------------------------------------------------------------------------
