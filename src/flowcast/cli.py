@@ -2,9 +2,10 @@
 option backtests, and the synthetic-data generator.
 
 Exit codes: 0 success, 1 I/O failure, 2 input/validation failure,
-3 estimation failure. ``FLOWCAST_LOG`` sets the log level; all other
-configuration comes from flags or an optional ``key=value`` config file
-(flags win on conflict). Outputs are deterministic: re-running a command
+3 estimation failure (no command exits 3 today: ``regress`` records a cell
+it cannot estimate in the grid). ``FLOWCAST_LOG`` sets the log level; all
+other configuration comes from flags or an optional ``key=value`` config
+file (flags win on conflict). Outputs are deterministic: re-running a command
 on identical inputs rewrites identical bytes.
 """
 
@@ -38,11 +39,15 @@ def _write(path: Path, text: str) -> None:
         fh.write(text)
 
 
-def _parse_hours_list(text: str) -> list[timedelta]:
+def _parse_hours_list(ctx, param, text: str) -> list[timedelta]:
+    """The ``--horizons`` callback: a list of positive whole hours."""
     try:
-        return [timedelta(hours=int(h)) for h in text.split(",") if h.strip()]
+        hours = [int(h) for h in text.split(",") if h.strip()]
+        if min(hours, default=1) <= 0:
+            raise ValueError
     except ValueError:
         raise click.UsageError(f"bad horizon list {text!r}; expected e.g. '1,2,3,4,6'")
+    return [timedelta(hours=h) for h in hours]
 
 
 def _parse_pairs(text: str) -> list[tuple[Asset, Asset]]:
@@ -172,13 +177,14 @@ def ingest_check(flows, bars, bar_frequency_minutes, options_path):
 @click.option("--bars-eth", type=_in_path, default=None)
 @click.option("--bars-btc", type=_in_path, default=None)
 @click.option("--bar-frequency-minutes", type=int, default=5, show_default=True)
-@click.option("--horizons", default="1,2,3,4,6", show_default=True)
+@click.option("--horizons", default="1,2,3,4,6", show_default=True,
+              callback=_parse_hours_list)
 @click.option("--pairs", default="USDT:ETH,ETH:ETH,USDT:BTC,BTC:BTC", show_default=True)
 @click.option("--targets", default="return,volatility", show_default=True)
 @click.option("--models", default="single,double", show_default=True)
 @click.option("--daily-weekly", is_flag=True,
               help="Also write the 24h/168h volatility grid.")
-@click.option("--hac-lags", type=int, default=None,
+@click.option("--hac-lags", type=click.IntRange(min=0), default=None,
               help="Newey-West lag count; omit for classical standard errors.")
 @click.option("--min-obs", type=int, default=regress.DEFAULT_MIN_OBS, show_default=True)
 @click.option("--out", type=_out_dir, required=True)
@@ -198,7 +204,7 @@ def cmd_regress(flows, bars_eth, bars_btc, bar_frequency_minutes, horizons, pair
 
     data = _load_market(flows, bars_paths, timedelta(minutes=bar_frequency_minutes))
     cells = regress.run_grid(
-        data, horizons=_parse_hours_list(horizons), pairs=pair_list,
+        data, horizons=horizons, pairs=pair_list,
         targets=_parse_list(targets, (regress.TARGET_RETURN, regress.TARGET_VOLATILITY),
                             "target"),
         models=_parse_list(models, (regress.MODEL_SINGLE, regress.MODEL_DOUBLE), "model"),
@@ -229,8 +235,8 @@ def cmd_regress(flows, bars_eth, bars_btc, bar_frequency_minutes, horizons, pair
 @click.option("--bars", type=_in_path, default=None,
               help="Bars for case-study windows (with --window-*-hours).")
 @click.option("--bar-frequency-minutes", type=int, default=5, show_default=True)
-@click.option("--window-pre-hours", type=int, default=72, show_default=True)
-@click.option("--window-post-hours", type=int, default=48, show_default=True)
+@click.option("--window-pre-hours", type=click.IntRange(min=0), default=72, show_default=True)
+@click.option("--window-post-hours", type=click.IntRange(min=0), default=48, show_default=True)
 @click.option("--out", type=_out_dir, required=True)
 def cmd_events(flows, asset, k, years, most_negative, bars, bar_frequency_minutes,
                window_pre_hours, window_post_hours, out):
@@ -333,18 +339,17 @@ def cmd_synth(seed, hours, usdt_eth_ret, eth_eth_ret, usdt_btc_ret, btc_btc_vol,
               return_ar, noise_sd, sub_frequency_minutes, iv_base, iv_flow_beta, out):
     """Write a planted synthetic dataset in the ingestion CSV schemas."""
     sub = timedelta(minutes=sub_frequency_minutes)
+    chain_cfg = synth.SynthConfig(
+        seed=seed, hours=hours, noise_sd=noise_sd, sub_frequency=sub,
+        chain=synth.OptionChainSpec(iv_base=iv_base, iv_flow_beta=iv_flow_beta))
+    chain_cfg.validate()  # before drawing, so a bad flag writes nothing
     plants = synth.GridPlants(
         usdt_eth_return=usdt_eth_ret, eth_eth_return=eth_eth_ret,
         usdt_btc_return=usdt_btc_ret, btc_btc_vol=btc_btc_vol,
         return_ar=return_ar, noise_sd=noise_sd)
     market = synth.gen_market(seed, hours, plants, sub_frequency=sub)
-
-    chain_cfg = synth.SynthConfig(
-        seed=seed, hours=hours, flow_sd_musd=plants.eth_flow_sd,
-        sub_frequency=sub, asset=Asset.ETH,
-        chain=synth.OptionChainSpec(iv_base=iv_base, iv_flow_beta=iv_flow_beta))
     quotes = synth.gen_option_chain(chain_cfg, market.bars[Asset.ETH],
-                                    flows=market.flows[Asset.ETH])
+                                    market.flows[Asset.ETH])
 
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -384,9 +389,6 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_OK
     except click.exceptions.Exit as exc:
         return int(exc.exit_code)
-    except click.UsageError as exc:
-        exc.show()
-        return EXIT_VALIDATION
     except click.ClickException as exc:
         exc.show()
         return EXIT_VALIDATION

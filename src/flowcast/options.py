@@ -220,20 +220,21 @@ class BucketStats:
     r_total_net: float
 
 
-DEFAULT_OTM_EDGES = ((None, 0.01), (0.01, 0.03), (0.03, 0.05), (0.05, 0.10))
+IV_THRESHOLDS = (1.0, 2.0)
+OTM_EDGES = ((None, 0.01), (0.01, 0.03), (0.03, 0.05), (0.05, 0.10))
 
 
-def table_buckets(leg: str, pct: float,
-                  iv_thresholds: tuple[float, ...] = (1.0, 2.0),
-                  otm_edges: tuple = DEFAULT_OTM_EDGES) -> list[BucketKey]:
-    """The standard report rows: original, IV floors, OTM bands, and combos."""
+def table_buckets(leg: str, pct: float) -> list[BucketKey]:
+    """The report rows of one leg: the original selection, each IV floor of
+    ``IV_THRESHOLDS``, each OTM band of ``OTM_EDGES``, then every IV floor
+    with every OTM band."""
     buckets = [BucketKey(leg, pct)]
-    for iv in iv_thresholds:
+    for iv in IV_THRESHOLDS:
         buckets.append(BucketKey(leg, pct, iv_min=iv))
-    for lo, hi in otm_edges:
+    for lo, hi in OTM_EDGES:
         buckets.append(BucketKey(leg, pct, otm_lo=lo, otm_hi=hi))
-    for iv in iv_thresholds:
-        for lo, hi in otm_edges:
+    for iv in IV_THRESHOLDS:
+        for lo, hi in OTM_EDGES:
             buckets.append(BucketKey(leg, pct, iv_min=iv, otm_lo=lo, otm_hi=hi))
     return buckets
 

@@ -13,6 +13,7 @@ summary-table layout used in the reports.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -76,15 +77,10 @@ class OlsFit:
     def k(self) -> int:
         return len(self.beta) - 1
 
-    def predict(self, x) -> np.ndarray | float:
-        """Fitted value(s) for regressor row(s) ``x`` (no intercept column)."""
-        x = np.asarray(x, dtype=np.float64)
-        scalar = x.ndim == 0 and self.k == 1
-        rows = np.atleast_2d(x if x.ndim > 0 else x.reshape(1))
-        if rows.shape[1] != self.k:
-            rows = rows.reshape(-1, self.k)
-        out = self.beta[0] + rows @ self.beta[1:]
-        return float(out[0]) if (scalar or out.size == 1) else out
+    def predict(self, x) -> float:
+        """Fitted value for one regressor row ``x`` (no intercept column); a
+        one-regressor fit also takes ``x`` as a scalar."""
+        return float(self.beta[0] + np.atleast_1d(x) @ self.beta[1:])
 
 
 def design_matrix(sample: AlignedSample) -> tuple[np.ndarray, np.ndarray]:
@@ -205,47 +201,9 @@ class HeatmapCell:
     error: str | None = None
 
 
-class _SeriesCache:
-    """Builds each (asset, horizon) series once; failures are remembered too."""
-
-    def __init__(self, data: MarketData):
-        self.data = data
-        self._cache: dict = {}
-
-    def _get(self, key, builder):
-        if key not in self._cache:
-            try:
-                self._cache[key] = builder()
-            except FlowcastError as exc:
-                self._cache[key] = exc
-        value = self._cache[key]
-        if isinstance(value, FlowcastError):
-            raise value
-        return value
-
-    def inflows(self, asset: Asset, horizon: timedelta) -> NetInflowSeries:
-        if asset not in self.data.flows:
-            raise InvalidConfig(f"no flow data for {asset.value}")
-        return self._get(("flow", asset, horizon),
-                         lambda: net_inflows(self.data.flows[asset], horizon))
-
-    def response(self, asset: Asset, target: str, horizon: timedelta):
-        if asset not in self.data.bars:
-            raise InvalidConfig(f"no bar data for {asset.value}")
-        bars = self.data.bars[asset]
-        if target == TARGET_RETURN:
-            return self._get(("ret", asset, horizon), lambda: returns(bars, horizon))
-        if target == TARGET_VOLATILITY:
-            return self._get(("vol", asset, horizon),
-                             lambda: realized_vol(bars, horizon, bars.frequency))
-        raise InvalidConfig(f"unknown target {target!r}")
-
-
-def _fit_cell(cache: _SeriesCache, pair: tuple[Asset, Asset], target: str,
-              horizon: timedelta, model: str, min_obs: int,
-              hac_lags: int | None) -> HeatmapCell:
-    predictor = cache.inflows(pair[0], horizon)
-    response = cache.response(pair[1], target, horizon)
+def _fit_cell(predictor: NetInflowSeries, response: ReturnSeries | VolSeries,
+              pair: tuple[Asset, Asset], target: str, horizon: timedelta, model: str,
+              min_obs: int, hac_lags: int | None) -> HeatmapCell:
     control = response if model == MODEL_DOUBLE else None
     sample = align(predictor, response, control=control, horizon=horizon)
     k = 2 if model == MODEL_DOUBLE else 1
@@ -265,16 +223,39 @@ def run_grid(data: MarketData,
              models: Sequence[str] = (MODEL_SINGLE, MODEL_DOUBLE),
              min_obs: int = DEFAULT_MIN_OBS,
              hac_lags: int | None = None) -> list[HeatmapCell]:
-    """One cell per (pair, target, horizon, model); failed cells are marked."""
-    cache = _SeriesCache(data)
+    """One cell per (pair, target, horizon, model); failed cells are marked.
+
+    Each (asset, horizon) series is built once and shared by the cells that
+    use it; one that fails to build fails again, with the same message, in
+    each of its cells.
+    """
+
+    @functools.cache
+    def inflows(asset: Asset, horizon: timedelta) -> NetInflowSeries:
+        if asset not in data.flows:
+            raise InvalidConfig(f"no flow data for {asset.value}")
+        return net_inflows(data.flows[asset], horizon)
+
+    @functools.cache
+    def response(asset: Asset, target: str, horizon: timedelta) -> ReturnSeries | VolSeries:
+        if asset not in data.bars:
+            raise InvalidConfig(f"no bar data for {asset.value}")
+        if target == TARGET_RETURN:
+            return returns(data.bars[asset], horizon)
+        if target == TARGET_VOLATILITY:
+            return realized_vol(data.bars[asset], horizon)
+        raise InvalidConfig(f"unknown target {target!r}")
+
     cells = []
     for pair in pairs:
         for target in targets:
             for horizon in horizons:
                 for model in models:
                     try:
-                        cells.append(_fit_cell(cache, pair, target, horizon,
-                                               model, min_obs, hac_lags))
+                        cells.append(_fit_cell(inflows(pair[0], horizon),
+                                               response(pair[1], target, horizon),
+                                               pair, target, horizon, model,
+                                               min_obs, hac_lags))
                     except FlowcastError as exc:
                         cells.append(HeatmapCell(
                             pair=pair, target=target, horizon=horizon, model=model,

@@ -33,7 +33,6 @@ from .errors import (
 from .ingest import Asset, BarSeries, FlowSeries
 
 HOUR = timedelta(hours=1)
-DEFAULT_SUB_FREQUENCY = timedelta(minutes=5)
 USD_PER_MUSD = 1e6
 
 
@@ -116,13 +115,13 @@ def net_inflows(flows: FlowSeries, horizon: timedelta) -> NetInflowSeries:
 def _window_starts(bars: BarSeries, h_s: int) -> tuple[np.ndarray, np.ndarray]:
     """Epoch-aligned window timestamps t whose bars [t-f, t+h-f] fall between
     the first and last bar, and the ``close_grid`` index of the bar at t-f."""
+    if len(bars) == 0:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     f_s = _seconds(bars.frequency, "bar frequency")
     g0 = int(bars.timestamps[0])
     last = int(bars.timestamps[-1])
     t_first = -((-(g0 + f_s)) // h_s) * h_s  # ceil to the h grid
-    t_last = ((last - h_s + f_s) // h_s) * h_s
-    if t_last < t_first:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    t_last = ((last - h_s + f_s) // h_s) * h_s  # below t_first: no window fits
     t = np.arange(t_first, t_last + 1, h_s, dtype=np.int64)
     return t, (t - f_s - g0) // f_s
 
@@ -133,8 +132,6 @@ def returns(bars: BarSeries, horizon: timedelta) -> ReturnSeries:
     h_s = _seconds(horizon, "horizon")
     if h_s % f_s != 0:
         raise FrequencyMismatch(f"bar frequency {bars.frequency} does not divide {horizon}")
-    if len(bars) == 0:
-        return ReturnSeries(bars.asset, horizon, np.empty(0, np.int64), np.empty(0))
     nsub = h_s // f_s
     t, a = _window_starts(bars, h_s)
     if len(t) == 0:
@@ -147,28 +144,20 @@ def returns(bars: BarSeries, horizon: timedelta) -> ReturnSeries:
     return ReturnSeries(bars.asset, horizon, t, vals)
 
 
-def realized_vol(bars: BarSeries, horizon: timedelta,
-                 sub_frequency: timedelta = DEFAULT_SUB_FREQUENCY) -> VolSeries:
+def realized_vol(bars: BarSeries, horizon: timedelta) -> VolSeries:
     """Sample std of sub-bar simple returns within each horizon window.
 
-    The bars themselves are the sub-bars: their frequency must equal
-    ``sub_frequency``, which must divide the horizon with at least two
-    sub-bars per window.
+    The bars themselves are the sub-bars: ``bars.frequency`` must divide
+    the horizon with at least two bars per window.
     """
     f_s = _seconds(bars.frequency, "bar frequency")
-    sub_s = _seconds(sub_frequency, "sub_frequency")
     h_s = _seconds(horizon, "horizon")
-    if sub_s != f_s:
-        raise FrequencyMismatch(
-            f"bars are at {bars.frequency} but sub_frequency is {sub_frequency}")
-    if h_s % sub_s != 0:
-        raise FrequencyMismatch(f"sub_frequency {sub_frequency} does not divide {horizon}")
-    nsub = h_s // sub_s
+    if h_s % f_s != 0:
+        raise FrequencyMismatch(f"sub_frequency {bars.frequency} does not divide {horizon}")
+    nsub = h_s // f_s
     if nsub < 2:
         raise InsufficientSubBars(
             f"{horizon} window holds {nsub} sub-bar(s); need at least 2")
-    if len(bars) == 0:
-        return VolSeries(bars.asset, horizon, np.empty(0, np.int64), np.empty(0))
     t, a = _window_starts(bars, h_s)
     if len(t) == 0:
         return VolSeries(bars.asset, horizon, np.empty(0, np.int64), np.empty(0))

@@ -30,29 +30,34 @@ import numpy as np
 from .errors import InvalidConfig
 from .ingest import Asset, BarSeries, FlowSeries, QuoteSeries
 from .regress import MarketData
-from .series import DEFAULT_SUB_FREQUENCY, HOUR
+from .series import HOUR
 
 # 2021-01-07T00:00:00Z: a Thursday midnight, so every horizon grid up to
 # one week (a divisor of 168h) starts exactly on the first sample.
 DEFAULT_START = 1609977600
+DEFAULT_SUB_FREQUENCY = timedelta(minutes=5)
 
 YEAR_SECONDS = 365.0 * 24.0 * 3600.0
 
 _RETURN_CLIP = -0.5   # keeps prices positive under extreme draws
 _SUB_CLIP = -0.9
+STRIKE_STEP = 5.0   # option strikes round to this step, halved where two rungs meet
+IV_FLOOR = 0.05     # least implied vol of a synthetic quote
 
 
 @dataclass(frozen=True)
 class OptionChainSpec:
-    """Strike/expiry grid of the synthetic call chain, quoted every hour."""
+    """Strike/expiry grid of the synthetic call chain, quoted every hour.
+
+    Strikes are the moneyness rungs rounded to ``STRIKE_STEP``, and the
+    implied vol is floored at ``IV_FLOOR``.
+    """
 
     moneyness: tuple[float, ...] = (0.98, 1.0, 1.02, 1.05)
-    strike_step: float = 5.0
     expiry_every: timedelta = timedelta(hours=24)
     lifetime: timedelta = timedelta(hours=48)
     iv_base: float = 0.8
     iv_flow_beta: float = 0.0   # implied-vol response to last hour's net inflow
-    iv_floor: float = 0.05
 
 
 @dataclass(frozen=True)
@@ -231,13 +236,14 @@ def black_scholes_call(index, strike, years, sigma):
     return price[()], delta[()]
 
 
-def gen_option_chain(cfg: SynthConfig, bars: BarSeries,
-                     flows: FlowSeries | None = None) -> QuoteSeries:
+def gen_option_chain(cfg: SynthConfig, bars: BarSeries, flows: FlowSeries) -> QuoteSeries:
     """Hourly call quotes on the configured strike/expiry grid.
 
-    Quotes are valued with the lognormal model at an implied vol that
-    responds to the *previous* hour's net inflow, so an event-hour entry
-    never embeds the event's own flow.
+    ``bars`` and ``flows`` are the market the chain is written on, as
+    ``gen_flows_and_prices`` or ``gen_market`` drew it. Quotes are valued
+    with the lognormal model at an implied vol that responds to the
+    *previous* hour's net inflow, so an event-hour entry never embeds the
+    event's own flow.
     """
     cfg.validate()
     if cfg.chain is None:
@@ -250,19 +256,15 @@ def gen_option_chain(cfg: SynthConfig, bars: BarSeries,
     life_s = int(spec.lifetime.total_seconds())
     if expiry_s <= 0 or life_s <= 0:
         raise InvalidConfig("expiry_every and lifetime must be positive")
-    if spec.iv_base <= 0 or spec.iv_floor <= 0 or spec.strike_step <= 0:
-        raise InvalidConfig("iv_base, iv_floor and strike_step must be positive")
-
-    if flows is None:
-        flow_seq, _ = np.random.SeedSequence(cfg.seed).spawn(2)
-        flows = gen_flows(flow_seq, cfg.hours, cfg.flow_sd_musd, cfg.asset, cfg.start)
+    if spec.iv_base <= 0:
+        raise InvalidConfig("iv_base must be positive")
     net = _hourly_net_musd(flows, cfg.hours, cfg.start)
 
     # Hour k quotes at t = start + (k+1)h: the close of the last sub-bar of
     # hour k, at an implied vol that responds to hour k's net inflow.
     t = cfg.start + 3600 * np.arange(1, cfg.hours + 1, dtype=np.int64)
     index = bars.close.reshape(cfg.hours, nsub)[:, -1]
-    iv = np.maximum(spec.iv_base + spec.iv_flow_beta * net, spec.iv_floor)
+    iv = np.maximum(spec.iv_base + spec.iv_flow_beta * net, IV_FLOOR)
 
     # Expiry e is quoted at the hours t in [e - lifetime, e) and its strikes
     # are set at the first of them.
@@ -274,7 +276,7 @@ def gen_option_chain(cfg: SynthConfig, bars: BarSeries,
             continue
         # Halve the step, for this expiry only, until no two rungs round
         # onto one strike (rungs repeated in moneyness aside).
-        raw, step = np.array(spec.moneyness) * index[a], spec.strike_step
+        raw, step = np.array(spec.moneyness) * index[a], STRIKE_STEP
         rungs = len(np.unique(raw))
         while len(strikes := np.unique(np.round(raw / step) * step)) < rungs:
             step /= 2
@@ -297,7 +299,13 @@ def gen_option_chain(cfg: SynthConfig, bars: BarSeries,
 
 @dataclass(frozen=True)
 class GridPlants:
-    """Planted coefficients for the four-pair heatmap fixture."""
+    """Planted coefficients for the four-pair heatmap fixture.
+
+    What the plants do not set is fixed: hourly net flows have standard
+    deviations of US$100M (USDT), US$1M (ETH) and US$100 (BTC), and both
+    assets' sub-bars use ``gen_price_bars``' default ``vol_base`` and
+    ``vol_floor``.
+    """
 
     usdt_eth_return: float = 0.0
     eth_eth_return: float = 0.0
@@ -305,11 +313,6 @@ class GridPlants:
     btc_btc_vol: float = 0.0
     return_ar: float = 0.0
     noise_sd: float = 0.01
-    usdt_flow_sd: float = 100.0
-    eth_flow_sd: float = 1.0
-    btc_flow_sd: float = 1e-4
-    vol_base: float = 0.01
-    vol_floor: float = 0.002
 
 
 def gen_market(seed: int, hours: int, plants: GridPlants = GridPlants(),
@@ -318,12 +321,11 @@ def gen_market(seed: int, hours: int, plants: GridPlants = GridPlants(),
     """Flows for USDT/ETH/BTC and bars for ETH/BTC with the planted relations."""
     seqs = np.random.SeedSequence(seed).spawn(5)
     flows = {
-        Asset.USDT: gen_flows(seqs[0], hours, plants.usdt_flow_sd, Asset.USDT, start),
-        Asset.ETH: gen_flows(seqs[1], hours, plants.eth_flow_sd, Asset.ETH, start),
-        Asset.BTC: gen_flows(seqs[2], hours, plants.btc_flow_sd, Asset.BTC, start),
+        Asset.USDT: gen_flows(seqs[0], hours, 100.0, Asset.USDT, start),
+        Asset.ETH: gen_flows(seqs[1], hours, 1.0, Asset.ETH, start),
+        Asset.BTC: gen_flows(seqs[2], hours, 1e-4, Asset.BTC, start),
     }
     common = dict(beta0=0.0, beta2=plants.return_ar, noise_sd=plants.noise_sd,
-                  vol_base=plants.vol_base, vol_floor=plants.vol_floor,
                   sub_frequency=sub_frequency, start=start)
     bars = {
         Asset.ETH: gen_price_bars(

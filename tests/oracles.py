@@ -23,6 +23,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import ndtr
 
+from flowcast import synth
 from flowcast.errors import EmptyAlignment, HorizonMismatch, MalformedRow, ValidationError
 from flowcast.ingest import OptionQuote, QuoteSeries, check_row
 from flowcast.options import (
@@ -391,13 +392,13 @@ def reference_option_chain(cfg, bars, flows):
     for i in range(1, cfg.hours + 1):
         t = cfg.start + 3600 * i
         index = float(hour_close[i - 1])
-        sigma = max(spec.iv_base + spec.iv_flow_beta * float(net[i - 1]), spec.iv_floor)
+        sigma = max(spec.iv_base + spec.iv_flow_beta * float(net[i - 1]), synth.IV_FLOOR)
         instruments = []
         for e in expiries:
             if not t < e <= t + life_s:
                 continue
             if e not in strikes_of:
-                raw, step = np.array(spec.moneyness) * index, spec.strike_step
+                raw, step = np.array(spec.moneyness) * index, synth.STRIKE_STEP
                 rungs = len(np.unique(raw))
                 while len(strikes := np.unique(np.round(raw / step) * step)) < rungs:
                     step /= 2

@@ -127,7 +127,8 @@ def test_synth_loads_scipy_special_alone():
     assert _scipy_modules_after("flowcast.synth.gen_market(1, 400)") == []
     chain = ("from flowcast import synth\n"
              "cfg = synth.SynthConfig(seed=1, hours=400, chain=synth.OptionChainSpec())\n"
-             "synth.gen_option_chain(cfg, synth.gen_flows_and_prices(cfg)[1])")
+             "flows, bars = synth.gen_flows_and_prices(cfg)\n"
+             "synth.gen_option_chain(cfg, bars, flows)")
     loaded = _scipy_modules_after(chain)
     assert "scipy.special" in loaded
     assert not [m for m in loaded if m.startswith(("scipy.signal", "scipy.stats"))]
@@ -195,6 +196,21 @@ def test_regress_requires_bars_for_pairs(dataset, tmp_path, capsys):
                  "--out", str(tmp_path / "g")])
     assert code == 2
     assert "BTC" in capsys.readouterr().err
+
+
+def test_regress_on_header_only_bars_marks_every_cell(dataset, tmp_path):
+    empty = tmp_path / "bars_btc.csv"
+    empty.write_text("timestamp,open,high,low,close\n")
+    out = tmp_path / "g"
+    assert main(["regress", "--flows", str(dataset / "flows.csv"),
+                 "--bars-eth", str(dataset / "bars_eth.csv"), "--bars-btc", str(empty),
+                 "--out", str(out)]) == 0
+    cells = json.loads((out / "grid.json").read_text())
+    btc = [c for c in cells if c["pair"][1] == "BTC"]
+    assert len(btc) == 40
+    assert all(c["error"] == "EmptyAlignment: no overlapping predictor/response timestamps"
+               for c in btc)
+    assert not any("error" in c for c in cells if c["pair"][1] == "ETH")
 
 
 def test_regress_is_idempotent(dataset, tmp_path):
@@ -318,6 +334,52 @@ def test_validation_error_exit_code(tmp_path, capsys):
                    "2022-01-01T00:00:00Z,ETH,-5,0\n")
     code = main(["events", "--flows", str(bad), "--out", str(tmp_path / "o")])
     assert code == 2
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--noise-sd", "-1"], "standard deviations must be non-negative"),
+    (["--sub-frequency-minutes", "0"], "sub_frequency must divide one hour"),
+    (["--sub-frequency-minutes", "-5"], "sub_frequency must divide one hour"),
+], ids=["noise-sd", "sub-frequency-zero", "sub-frequency-negative"])
+def test_synth_rejects_a_bad_flag_before_drawing(tmp_path, capsys, flags, message):
+    out = tmp_path / "data"
+    assert main(["synth", "--seed", "1", "--hours", "100", *flags, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"validation error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,flags,code,message", [
+    ("regress", ["--horizons", "0"], 2, "bad horizon list '0'"),
+    ("regress", ["--horizons", "1,-1"], 2, "bad horizon list '1,-1'"),
+    ("regress", ["--horizons", "1.5"], 2, "bad horizon list '1.5'"),
+    ("regress", ["--hac-lags", "-1"], 2, "'--hac-lags': -1 is not in the range x>=0"),
+    ("regress", ["--pairs", "USDT-ETH"], 2, "bad pair 'USDT-ETH'; expected e.g. 'USDT:ETH'"),
+    ("regress", ["--pairs", " , "], 2, "no pairs given"),
+    ("regress", ["--targets", "price"], 2, "bad target 'price'; allowed: return, volatility"),
+    ("regress", ["--models", "triple"], 2, "bad model 'triple'; allowed: single, double"),
+    ("regress", ["--models", ","], 2, "no model given"),
+    ("events", ["--window-pre-hours", "-1"], 2,
+     "'--window-pre-hours': -1 is not in the range x>=0"),
+    ("events", ["--window-post-hours", "-1"], 2,
+     "'--window-post-hours': -1 is not in the range x>=0"),
+    ("events", ["--years", "x"], 2, "bad year list 'x'"),
+    ("backtest", ["--legs", "middle"], 2, "bad leg 'middle'; allowed: top, bottom"),
+    ("backtest", ["--help"], 0, "Percentile-triggered call backtest"),
+], ids=["horizon-zero", "horizon-negative", "horizon-fraction", "hac-lags",
+        "pair", "no-pairs", "target", "model", "no-models", "window-pre", "window-post",
+        "years", "leg", "help"])
+def test_flag_errors_exit_2_and_help_exits_0(dataset, tmp_path, capsys, command, flags,
+                                             code, message):
+    inputs = {"regress": ["--bars-eth", str(dataset / "bars_eth.csv"),
+                          "--bars-btc", str(dataset / "bars_btc.csv")],
+              "events": ["--bars", str(dataset / "bars_eth.csv")],
+              "backtest": ["--options", str(dataset / "options.csv")]}[command]
+    out = tmp_path / "o"
+    argv = [command, "--flows", str(dataset / "flows.csv"), *inputs, *flags, "--out", str(out)]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert message in (captured.out if code == 0 else captured.err)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flag,data,reason", [

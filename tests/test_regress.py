@@ -307,8 +307,8 @@ def test_weekly_double_model_recovers_vol_persistence():
     flows, bars = gen_flows_and_prices(cfg)
     from flowcast.series import align, net_inflows, realized_vol
     h = timedelta(hours=168)
-    sample = align(net_inflows(flows, h), realized_vol(bars, h, cfg.sub_frequency),
-                   control=realized_vol(bars, h, cfg.sub_frequency))
+    sample = align(net_inflows(flows, h), realized_vol(bars, h),
+                   control=realized_vol(bars, h))
     fit = ols_fit(sample)
     assert abs(fit.beta[2] - 0.6) <= 3.0 * fit.se[2]
 

@@ -120,7 +120,7 @@ def test_returns_frequency_must_divide_horizon():
 
 def test_vol_constant_price():
     bars = make_bars([75.0] * 36, frequency=M5)
-    series = realized_vol(make_bars([75.0] * 36, frequency=M5), H1, M5)
+    series = realized_vol(make_bars([75.0] * 36, frequency=M5), H1)
     assert len(series) > 0
     assert np.all(series.values == 0.0)
 
@@ -129,7 +129,7 @@ def test_vol_two_sub_returns_hand_value():
     # window sub-returns +1% then -1%: sample std with n-1=1 is sqrt(2e-4)
     closes = [100.0, 101.0, 99.99]
     bars = make_bars(closes, frequency=timedelta(minutes=30), start=T0 - 1800)
-    series = realized_vol(bars, H1, timedelta(minutes=30))
+    series = realized_vol(bars, H1)
     assert series.timestamps.tolist() == [T0]
     assert series.values[0] == pytest.approx(0.01414213562373095, rel=1e-12)
 
@@ -137,7 +137,7 @@ def test_vol_two_sub_returns_hand_value():
 def test_vol_matches_two_pass_oracle(rng):
     closes = 2000.0 * np.exp(np.cumsum(rng.normal(0, 0.002, size=6 * 60)))
     bars = make_bars(closes, frequency=timedelta(minutes=1))
-    series = realized_vol(bars, H1, timedelta(minutes=1))
+    series = realized_vol(bars, H1)
     expected = oracles.window_vols(bars.timestamps, bars.close, 60, 3600)
     assert series.timestamps.tolist() == list(expected)
     np.testing.assert_allclose(series.values, list(expected.values()), rtol=1e-12)
@@ -147,19 +147,14 @@ def test_vol_matches_two_pass_oracle(rng):
 
 def test_vol_scale_invariance(rng):
     closes = 100.0 * np.exp(np.cumsum(rng.normal(0, 0.01, size=48)))
-    a = realized_vol(make_bars(closes, frequency=M5), H1, M5)
-    b = realized_vol(make_bars(closes * 37.5, frequency=M5), H1, M5)
+    a = realized_vol(make_bars(closes, frequency=M5), H1)
+    b = realized_vol(make_bars(closes * 37.5, frequency=M5), H1)
     np.testing.assert_allclose(a.values, b.values, rtol=1e-12)
 
 
 def test_vol_insufficient_sub_bars():
     with pytest.raises(errors.InsufficientSubBars):
-        realized_vol(make_bars([1.0, 1.0, 1.0]), H1, H1)
-
-
-def test_vol_sub_frequency_must_match_bars():
-    with pytest.raises(errors.FrequencyMismatch):
-        realized_vol(make_bars([1.0, 1.0, 1.0]), H1, M5)
+        realized_vol(make_bars([1.0, 1.0, 1.0]), H1)
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -176,7 +171,7 @@ def test_series_match_window_loops_on_gappy_bars(seed):
         for got, want in (
                 (returns(bars, timedelta(hours=hours)),
                  oracles.forward_returns(bars.timestamps, bars.close, 300, h_s)),
-                (realized_vol(bars, timedelta(hours=hours), M5),
+                (realized_vol(bars, timedelta(hours=hours)),
                  oracles.window_vols(bars.timestamps, bars.close, 300, h_s,
                                      std=oracles.numpy_std))):
             assert 0 < len(want) < (n * 300) // h_s

@@ -12,6 +12,7 @@ from flowcast.regress import ols_fit
 from flowcast.series import HOUR, align, net_inflows, realized_vol, returns
 from flowcast.synth import (
     DEFAULT_START,
+    IV_FLOOR,
     GridPlants,
     OptionChainSpec,
     SynthConfig,
@@ -30,7 +31,7 @@ def test_same_seed_byte_identical():
     flows_b, bars_b = gen_flows_and_prices(cfg)
     assert flows_to_csv(flows_a) == flows_to_csv(flows_b)
     assert bars_to_csv(bars_a) == bars_to_csv(bars_b)
-    quotes_a = gen_option_chain(cfg, bars_a)
+    quotes_a = gen_option_chain(cfg, bars_a, flows=flows_a)
     quotes_b = gen_option_chain(cfg, bars_b, flows=flows_b)
     assert quotes_to_csv(quotes_a) == quotes_to_csv(quotes_b)
 
@@ -67,7 +68,7 @@ def test_volatility_plant_recovered():
     cfg = SynthConfig(seed=21, hours=4000, vol_beta1=-17.0, flow_sd_musd=1e-4,
                       vol_base=0.01, vol_floor=0.002)
     flows, bars = gen_flows_and_prices(cfg)
-    vol = realized_vol(bars, HOUR, cfg.sub_frequency)
+    vol = realized_vol(bars, HOUR)
     fit = ols_fit(align(net_inflows(flows, HOUR), vol))
     # sub-bar sampling attenuates the slope slightly; sign and strength hold
     assert fit.beta[1] == pytest.approx(-17.0, rel=0.15)
@@ -150,8 +151,7 @@ def test_chain_without_a_live_expiry_is_empty():
 
 def test_chain_case_reaches_the_iv_floor():
     quotes, _ = _chain(iv_flow_beta=1.0)
-    floor = OptionChainSpec().iv_floor
-    assert (quotes.implied_vols == floor).any() and (quotes.implied_vols > floor).any()
+    assert (quotes.implied_vols == IV_FLOOR).any() and (quotes.implied_vols > IV_FLOOR).any()
 
 
 def _bits(values):
@@ -243,9 +243,9 @@ def test_invalid_configs_rejected():
     with pytest.raises(errors.InvalidConfig):
         gen_flows_and_prices(SynthConfig(seed=1, hours=100,
                                          sub_frequency=timedelta(minutes=7)))
+    flows, bars = gen_flows_and_prices(SynthConfig(seed=1, hours=100))
     with pytest.raises(errors.InvalidConfig):
-        gen_option_chain(SynthConfig(seed=1, hours=100),
-                         gen_flows_and_prices(SynthConfig(seed=1, hours=100))[1])
+        gen_option_chain(SynthConfig(seed=1, hours=100), bars, flows)
 
 
 def test_gen_market_covers_grid_assets():
