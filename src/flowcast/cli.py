@@ -1,12 +1,12 @@
 """Command-line front end: ingestion checks, regression grids, events,
 option backtests, and the synthetic-data generator.
 
-Exit codes: 0 success, 1 I/O failure, 2 input/validation failure,
-3 estimation failure (no command exits 3 today: ``regress`` records a cell
-it cannot estimate in the grid). ``FLOWCAST_LOG`` sets the log level; all
-other configuration comes from flags or an optional ``key=value`` config
-file (flags win on conflict). Outputs are deterministic: re-running a command
-on identical inputs rewrites identical bytes.
+Exit codes: 0 success, 1 I/O failure, 2 input/validation failure; ``regress``
+records a cell it cannot estimate in the grid and still exits 0.
+``FLOWCAST_LOG`` sets the log level; all other configuration comes from
+flags or an optional ``key=value`` config file (flags win on conflict).
+Outputs are deterministic: re-running a command on identical inputs
+rewrites identical bytes.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 
 from . import events as events_mod
 from . import ingest, options, regress, synth
-from .errors import EstimationError, FlowcastError, ValidationError
+from .errors import FlowcastError, ValidationError
 from .ingest import Asset
 from .series import net_inflows
 
@@ -31,7 +31,6 @@ logger = logging.getLogger(__name__)
 EXIT_OK = 0
 EXIT_IO = 1
 EXIT_VALIDATION = 2
-EXIT_ESTIMATION = 3
 
 
 def _write(path: Path, text: str) -> None:
@@ -43,11 +42,24 @@ def _parse_hours_list(ctx, param, text: str) -> list[timedelta]:
     """The ``--horizons`` callback: a list of positive whole hours."""
     try:
         hours = [int(h) for h in text.split(",") if h.strip()]
-        if min(hours, default=1) <= 0:
+        if not hours or min(hours) <= 0:
             raise ValueError
     except ValueError:
         raise click.UsageError(f"bad horizon list {text!r}; expected e.g. '1,2,3,4,6'")
     return [timedelta(hours=h) for h in hours]
+
+
+def _parse_years(ctx, param, text: str | None) -> set[int] | None:
+    """The ``--years`` callback: a list of years, or None for all of them."""
+    if text is None:
+        return None
+    try:
+        years = {int(y) for y in text.split(",") if y.strip()}
+        if not years:
+            raise ValueError
+    except ValueError:
+        raise click.UsageError(f"bad year list {text!r}")
+    return years
 
 
 def _parse_pairs(text: str) -> list[tuple[Asset, Asset]]:
@@ -192,6 +204,8 @@ def cmd_regress(flows, bars_eth, bars_btc, bar_frequency_minutes, horizons, pair
                 targets, models, daily_weekly, hac_lags, min_obs, out):
     """Run the predictive-regression grid and write heatmap JSON + TSV."""
     pair_list = _parse_pairs(pairs)
+    target_list = _parse_list(targets, regress.TARGETS, "target")
+    model_list = _parse_list(models, regress.MODELS, "model")
     bars_paths = {}
     if bars_eth:
         bars_paths[Asset.ETH] = bars_eth
@@ -204,10 +218,7 @@ def cmd_regress(flows, bars_eth, bars_btc, bar_frequency_minutes, horizons, pair
 
     data = _load_market(flows, bars_paths, timedelta(minutes=bar_frequency_minutes))
     cells = regress.run_grid(
-        data, horizons=horizons, pairs=pair_list,
-        targets=_parse_list(targets, (regress.TARGET_RETURN, regress.TARGET_VOLATILITY),
-                            "target"),
-        models=_parse_list(models, (regress.MODEL_SINGLE, regress.MODEL_DOUBLE), "model"),
+        data, horizons=horizons, pairs=pair_list, targets=target_list, models=model_list,
         min_obs=min_obs, hac_lags=hac_lags)
 
     out_dir = Path(out)
@@ -230,7 +241,8 @@ def cmd_regress(flows, bars_eth, bars_btc, bar_frequency_minutes, horizons, pair
 @click.option("--asset", type=click.Choice([a.value for a in Asset]), default="ETH",
               show_default=True)
 @click.option("--k", type=int, default=10, show_default=True)
-@click.option("--years", default=None, help="Comma-separated years; default: all.")
+@click.option("--years", default=None, callback=_parse_years,
+              help="Comma-separated years; default: all.")
 @click.option("--most-negative", is_flag=True, help="Rank extreme net outflows instead.")
 @click.option("--bars", type=_in_path, default=None,
               help="Bars for case-study windows (with --window-*-hours).")
@@ -243,13 +255,7 @@ def cmd_events(flows, asset, k, years, most_negative, bars, bar_frequency_minute
     """Detect the k most extreme net-inflow hours per year; export CSVs."""
     flow_series = ingest.parse_flows(flows).select(Asset(asset))
     hourly = net_inflows(flow_series, timedelta(hours=1))
-    year_set = None
-    if years:
-        try:
-            year_set = {int(y) for y in years.split(",") if y.strip()}
-        except ValueError:
-            raise click.UsageError(f"bad year list {years!r}")
-    hits = events_mod.detect_extremes(hourly, k, years=year_set,
+    hits = events_mod.detect_extremes(hourly, k, years=years,
                                       most_negative=most_negative)
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -299,12 +305,12 @@ def cmd_events(flows, asset, k, years, most_negative, bars, bar_frequency_minute
 def cmd_backtest(flows, options_path, asset, pct, legs, side, holding_hours,
                  premium_rate, hedge_rate, half_spread, slippage, wtl_mode, out):
     """Percentile-triggered call backtest; writes the bucketed report TSV."""
+    leg_list = _parse_list(legs, (options.LEG_TOP, options.LEG_BOTTOM), "leg")
     flow_series = ingest.parse_flows(flows).select(Asset(asset))
     hourly = net_inflows(flow_series, timedelta(hours=1))
     quotes = ingest.parse_option_quotes(options_path)
     costs = options.CostParams(premium_rate=premium_rate, hedge_rate=hedge_rate,
                                half_spread=half_spread, slippage=slippage)
-    leg_list = _parse_list(legs, (options.LEG_TOP, options.LEG_BOTTOM), "leg")
 
     stats: dict = {}
     for leg in leg_list:
@@ -340,9 +346,8 @@ def cmd_synth(seed, hours, usdt_eth_ret, eth_eth_ret, usdt_btc_ret, btc_btc_vol,
     """Write a planted synthetic dataset in the ingestion CSV schemas."""
     sub = timedelta(minutes=sub_frequency_minutes)
     chain_cfg = synth.SynthConfig(
-        seed=seed, hours=hours, noise_sd=noise_sd, sub_frequency=sub,
+        seed=seed, hours=hours, sub_frequency=sub,
         chain=synth.OptionChainSpec(iv_base=iv_base, iv_flow_beta=iv_flow_beta))
-    chain_cfg.validate()  # before drawing, so a bad flag writes nothing
     plants = synth.GridPlants(
         usdt_eth_return=usdt_eth_ret, eth_eth_return=eth_eth_ret,
         usdt_btc_return=usdt_btc_ret, btc_btc_vol=btc_btc_vol,
@@ -392,9 +397,6 @@ def main(argv: list[str] | None = None) -> int:
     except click.ClickException as exc:
         exc.show()
         return EXIT_VALIDATION
-    except EstimationError as exc:
-        click.echo(f"estimation error: {exc}", err=True)
-        return EXIT_ESTIMATION
     except ValidationError as exc:
         click.echo(f"validation error: {exc}", err=True)
         return EXIT_VALIDATION

@@ -2,7 +2,8 @@
 
 Two broad families matter to callers: `ValidationError` (bad inputs or
 configuration) and `EstimationError` (a statistical routine cannot run on
-otherwise valid data). The CLI maps them to distinct exit codes.
+otherwise valid data). The CLI exits 2 on a `ValidationError`; `run_grid`
+records an `EstimationError` as a failed cell, so no command exits on one.
 """
 
 

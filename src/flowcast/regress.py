@@ -48,6 +48,8 @@ TARGET_RETURN = "return"
 TARGET_VOLATILITY = "volatility"
 MODEL_SINGLE = "single"
 MODEL_DOUBLE = "double"
+TARGETS = (TARGET_RETURN, TARGET_VOLATILITY)
+MODELS = (MODEL_SINGLE, MODEL_DOUBLE)
 
 # Strict inequality: a p-value exactly at a level does not earn the star.
 _STAR_LEVELS = ((0.01, "***"), (0.05, "**"), (0.10, "*"))
@@ -219,16 +221,21 @@ def _fit_cell(predictor: NetInflowSeries, response: ReturnSeries | VolSeries,
 def run_grid(data: MarketData,
              horizons: Sequence[timedelta] = DEFAULT_HORIZONS,
              pairs: Sequence[tuple[Asset, Asset]] = DEFAULT_PAIRS,
-             targets: Sequence[str] = (TARGET_RETURN, TARGET_VOLATILITY),
-             models: Sequence[str] = (MODEL_SINGLE, MODEL_DOUBLE),
+             targets: Sequence[str] = TARGETS,
+             models: Sequence[str] = MODELS,
              min_obs: int = DEFAULT_MIN_OBS,
              hac_lags: int | None = None) -> list[HeatmapCell]:
     """One cell per (pair, target, horizon, model); failed cells are marked.
 
-    Each (asset, horizon) series is built once and shared by the cells that
-    use it; one that fails to build fails again, with the same message, in
-    each of its cells.
+    An unknown target or model raises ``InvalidConfig`` before any fit. Each
+    (asset, horizon) series is built once and shared by the cells that use
+    it; one that fails to build fails again, with the same message, in each
+    of its cells.
     """
+    for what, given, allowed in (("target", targets, TARGETS), ("model", models, MODELS)):
+        for value in given:
+            if value not in allowed:
+                raise InvalidConfig(f"unknown {what} {value!r}; allowed: {', '.join(allowed)}")
 
     @functools.cache
     def inflows(asset: Asset, horizon: timedelta) -> NetInflowSeries:
@@ -242,9 +249,7 @@ def run_grid(data: MarketData,
             raise InvalidConfig(f"no bar data for {asset.value}")
         if target == TARGET_RETURN:
             return returns(data.bars[asset], horizon)
-        if target == TARGET_VOLATILITY:
-            return realized_vol(data.bars[asset], horizon)
-        raise InvalidConfig(f"unknown target {target!r}")
+        return realized_vol(data.bars[asset], horizon)
 
     cells = []
     for pair in pairs:
@@ -266,7 +271,7 @@ def run_grid(data: MarketData,
 
 def daily_weekly_grid(data: MarketData,
                       pairs: Sequence[tuple[Asset, Asset]] = DEFAULT_PAIRS,
-                      models: Sequence[str] = (MODEL_SINGLE, MODEL_DOUBLE),
+                      models: Sequence[str] = MODELS,
                       min_obs: int = DEFAULT_MIN_OBS,
                       hac_lags: int | None = None) -> list[HeatmapCell]:
     """Volatility-forecasting cells at the daily and weekly horizons."""
@@ -340,8 +345,8 @@ def grid_to_json(cells: Iterable[HeatmapCell]) -> str:
     return json.dumps([cell_to_dict(c) for c in cells], indent=2) + "\n"
 
 
-_CELL_VALUES = (("target", (TARGET_RETURN, TARGET_VOLATILITY)),
-                ("model", (MODEL_SINGLE, MODEL_DOUBLE)),
+_CELL_VALUES = (("target", TARGETS),
+                ("model", MODELS),
                 ("stars", ("",) + tuple(stars for _, stars in _STAR_LEVELS)),
                 ("sign", (SIGN_POSITIVE, SIGN_NEGATIVE, SIGN_INSIGNIFICANT)))
 

@@ -13,15 +13,16 @@ channels can be planted independently. Both AR(1) terms (``b2``, and
 ``vol_ar`` on the dispersion) run ``y[i] = x[i] + b * y[i-1]`` from rest
 in Python floats, bit for bit ``scipy.signal.lfilter([1], [1, -b], x)``.
 
-Randomness comes from numpy's PCG64 bit generator seeded through
-``SeedSequence(seed)``; every array is drawn in a fixed order, so a seed
-pins the full dataset byte-for-byte.
+``SynthConfig`` holds every synth default, and every series starts at
+``DEFAULT_START``. Each array is drawn in a fixed order from numpy's PCG64
+seeded through ``SeedSequence(seed)``, so a seed pins the full dataset
+byte-for-byte.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import timedelta
 from typing import Mapping
 
@@ -62,7 +63,8 @@ class OptionChainSpec:
 
 @dataclass(frozen=True)
 class SynthConfig:
-    """One planted (net inflow -> same asset) system plus its option chain."""
+    """One planted (net inflow -> same asset) system plus its option chain:
+    every synth default, checked by ``validate`` before any draw."""
 
     seed: int
     hours: int
@@ -80,7 +82,6 @@ class SynthConfig:
     sub_frequency: timedelta = DEFAULT_SUB_FREQUENCY
     init_price: float = 2000.0
     asset: Asset = Asset.ETH
-    start: int = DEFAULT_START
     chain: OptionChainSpec | None = None
 
     def validate(self) -> None:
@@ -95,30 +96,24 @@ class SynthConfig:
         sub_s = int(self.sub_frequency.total_seconds())
         if sub_s <= 0 or 3600 % sub_s != 0:
             raise InvalidConfig("sub_frequency must divide one hour")
-        vh = self.vol_horizon.total_seconds()
-        if vh <= 0 or vh % 3600 != 0:
+        vh, rest = divmod(self.vol_horizon.total_seconds(), 3600)
+        if vh <= 0 or rest != 0:
             raise InvalidConfig("vol_horizon must be a whole number of hours")
-        if self.start % 3600 != 0:
-            raise InvalidConfig("start must be hour-aligned")
+        if self.hours % vh != 0:
+            raise InvalidConfig(f"hours={self.hours} is not a multiple of the {vh:g}h vol horizon")
 
 
-def _rng(seed_seq: np.random.SeedSequence) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(seed_seq))
-
-
-def gen_flows(seed: int | np.random.SeedSequence, hours: int, flow_sd_musd: float,
-              asset: Asset, start: int = DEFAULT_START) -> FlowSeries:
+def gen_flows(seq: np.random.SeedSequence, hours: int, flow_sd_musd: float,
+              asset: Asset) -> FlowSeries:
     """Hourly flows whose net is i.i.d. normal(0, flow_sd) in US$ millions."""
-    seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    rng = _rng(seq)
-    net_usd = rng.normal(0.0, flow_sd_musd, size=hours) * 1e6
-    ts = start + 3600 * np.arange(hours, dtype=np.int64)
+    net_usd = np.random.default_rng(seq).normal(0.0, flow_sd_musd, size=hours) * 1e6
+    ts = DEFAULT_START + 3600 * np.arange(hours, dtype=np.int64)
     return FlowSeries(ts, np.full(hours, asset.value, dtype="U4"),
                       np.maximum(net_usd, 0.0), np.maximum(-net_usd, 0.0))
 
 
-def _hourly_net_musd(flows: FlowSeries, hours: int, start: int) -> np.ndarray:
-    expected = start + 3600 * np.arange(hours, dtype=np.int64)
+def _hourly_net_musd(flows: FlowSeries, hours: int) -> np.ndarray:
+    expected = DEFAULT_START + 3600 * np.arange(hours, dtype=np.int64)
     if len(flows) != hours or not np.array_equal(flows.timestamps, expected):
         raise InvalidConfig("flow series does not cover the generation grid")
     return flows.net_usd / 1e6
@@ -136,46 +131,37 @@ def _ar1(x: np.ndarray, b: float) -> np.ndarray:
     return np.array(out, dtype=np.float64)
 
 
-def gen_price_bars(seed: int | np.random.SeedSequence, hours: int,
+def gen_price_bars(seq: np.random.SeedSequence, cfg: SynthConfig,
                    flows: Mapping[Asset, FlowSeries],
                    return_betas: Mapping[Asset, float],
-                   vol_betas: Mapping[Asset, float],
-                   beta0: float = 0.0, beta2: float = 0.0, noise_sd: float = 0.01,
-                   vol_base: float = 0.01, vol_floor: float = 0.002,
-                   vol_horizon: timedelta = HOUR, vol_ar: float = 0.0,
-                   vol_noise_sd: float = 0.0,
-                   sub_frequency: timedelta = DEFAULT_SUB_FREQUENCY,
-                   init_price: float = 2000.0, start: int = DEFAULT_START,
-                   asset: Asset | None = None) -> BarSeries:
-    """Sub-hourly bars with planted return and volatility responses to flows."""
-    seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    rng = _rng(seq)
-    sub_s = int(sub_frequency.total_seconds())
+                   vol_betas: Mapping[Asset, float]) -> BarSeries:
+    """Sub-hourly bars of ``cfg.asset``, planted on ``flows``; ``cfg`` must pass ``validate``."""
+    rng = np.random.default_rng(seq)
+    hours = cfg.hours
+    sub_s = int(cfg.sub_frequency.total_seconds())
     nsub = 3600 // sub_s
-    vh = int(vol_horizon.total_seconds()) // 3600
-    if hours % vh != 0:
-        raise InvalidConfig(f"hours={hours} is not a multiple of the {vh}h vol horizon")
-    net = {a: _hourly_net_musd(f, hours, start) for a, f in flows.items()}
+    vh = int(cfg.vol_horizon.total_seconds()) // 3600
+    net = {a: _hourly_net_musd(f, hours) for a, f in flows.items()}
 
     # Hourly returns: AR(1) around the flow-driven drift, in a fixed draw order.
-    eps = rng.normal(0.0, noise_sd, size=hours) if noise_sd > 0 else np.zeros(hours)
+    eps = rng.normal(0.0, cfg.noise_sd, size=hours) if cfg.noise_sd > 0 else np.zeros(hours)
     driver = np.zeros(hours)
-    driver[1:] = beta0 + eps[1:]
+    driver[1:] = cfg.beta0 + eps[1:]
     for a, b in return_betas.items():
         if b != 0.0:
             driver[1:] += b * net[a][:-1]
-    hourly_ret = np.maximum(_ar1(driver, beta2), _RETURN_CLIP)
+    hourly_ret = np.maximum(_ar1(driver, cfg.beta2), _RETURN_CLIP)
 
     # Per-bucket sub-bar dispersion driven by the previous bucket's net flow.
     nb = hours // vh
     vol_drive = np.zeros(nb)
-    if vol_noise_sd > 0:
-        vol_drive[1:] += rng.normal(0.0, vol_noise_sd, size=nb - 1)
+    if cfg.vol_noise_sd > 0:
+        vol_drive[1:] += rng.normal(0.0, cfg.vol_noise_sd, size=nb - 1)
     for a, b in vol_betas.items():
         if b != 0.0:
             bucket_flow = net[a].reshape(nb, vh).sum(axis=1)
             vol_drive[1:] += b * bucket_flow[:-1]
-    sigma = np.maximum(vol_base + _ar1(vol_drive, vol_ar), vol_floor)
+    sigma = np.maximum(cfg.vol_base + _ar1(vol_drive, cfg.vol_ar), cfg.vol_floor)
     sigma_hour = np.repeat(sigma, vh)
 
     # Sub-bars compound exactly to the hourly gross return.
@@ -186,31 +172,24 @@ def gen_price_bars(seed: int | np.random.SeedSequence, hours: int,
     factors = (g * c)[:, None] * (1.0 + u)
 
     level = np.empty(hours + 1)
-    level[0] = init_price
-    level[1:] = init_price * np.cumprod(1.0 + hourly_ret)
+    level[0] = cfg.init_price
+    level[1:] = cfg.init_price * np.cumprod(1.0 + hourly_ret)
     closes = (level[:-1, None] * np.cumprod(factors, axis=1)).ravel()
-    opens = np.concatenate(([init_price], closes[:-1]))
+    opens = np.concatenate(([cfg.init_price], closes[:-1]))
 
-    ts = start + sub_s * np.arange(hours * nsub, dtype=np.int64)
+    ts = DEFAULT_START + sub_s * np.arange(hours * nsub, dtype=np.int64)
     return BarSeries(ts, opens, np.maximum(opens, closes), np.minimum(opens, closes),
-                     closes, sub_frequency, asset=asset)
+                     closes, cfg.sub_frequency, asset=cfg.asset)
 
 
 def gen_flows_and_prices(cfg: SynthConfig) -> tuple[FlowSeries, BarSeries]:
     """Flows and bars for one planted single-asset system."""
     cfg.validate()
     flow_seq, bar_seq = np.random.SeedSequence(cfg.seed).spawn(2)
-    flows = gen_flows(flow_seq, cfg.hours, cfg.flow_sd_musd, cfg.asset, cfg.start)
-    bars = gen_price_bars(bar_seq, cfg.hours, {cfg.asset: flows},
+    flows = gen_flows(flow_seq, cfg.hours, cfg.flow_sd_musd, cfg.asset)
+    bars = gen_price_bars(bar_seq, cfg, {cfg.asset: flows},
                           return_betas={cfg.asset: cfg.beta1},
-                          vol_betas={cfg.asset: cfg.vol_beta1},
-                          beta0=cfg.beta0, beta2=cfg.beta2, noise_sd=cfg.noise_sd,
-                          vol_base=cfg.vol_base, vol_floor=cfg.vol_floor,
-                          vol_horizon=cfg.vol_horizon, vol_ar=cfg.vol_ar,
-                          vol_noise_sd=cfg.vol_noise_sd,
-                          sub_frequency=cfg.sub_frequency,
-                          init_price=cfg.init_price, start=cfg.start,
-                          asset=cfg.asset)
+                          vol_betas={cfg.asset: cfg.vol_beta1})
     return flows, bars
 
 
@@ -258,17 +237,17 @@ def gen_option_chain(cfg: SynthConfig, bars: BarSeries, flows: FlowSeries) -> Qu
         raise InvalidConfig("expiry_every and lifetime must be positive")
     if spec.iv_base <= 0:
         raise InvalidConfig("iv_base must be positive")
-    net = _hourly_net_musd(flows, cfg.hours, cfg.start)
+    net = _hourly_net_musd(flows, cfg.hours)
 
-    # Hour k quotes at t = start + (k+1)h: the close of the last sub-bar of
+    # Hour k quotes at t = DEFAULT_START + (k+1)h: the close of the last sub-bar of
     # hour k, at an implied vol that responds to hour k's net inflow.
-    t = cfg.start + 3600 * np.arange(1, cfg.hours + 1, dtype=np.int64)
+    t = DEFAULT_START + 3600 * np.arange(1, cfg.hours + 1, dtype=np.int64)
     index = bars.close.reshape(cfg.hours, nsub)[:, -1]
     iv = np.maximum(spec.iv_base + spec.iv_flow_beta * net, IV_FLOOR)
 
     # Expiry e is quoted at the hours t in [e - lifetime, e) and its strikes
     # are set at the first of them.
-    expiries = np.arange(cfg.start + expiry_s, t[-1] + expiry_s + 1, expiry_s)
+    expiries = np.arange(DEFAULT_START + expiry_s, t[-1] + expiry_s + 1, expiry_s)
     first, stop = np.searchsorted(t, expiries - life_s), np.searchsorted(t, expiries)
     hour, strike, expiry = [np.empty(0, np.int64)], [np.empty(0)], [np.empty(0, np.int64)]
     for e, a, b in zip(expiries.tolist(), first.tolist(), stop.tolist()):
@@ -303,8 +282,8 @@ class GridPlants:
 
     What the plants do not set is fixed: hourly net flows have standard
     deviations of US$100M (USDT), US$1M (ETH) and US$100 (BTC), and both
-    assets' sub-bars use ``gen_price_bars``' default ``vol_base`` and
-    ``vol_floor``.
+    assets' sub-bars use ``SynthConfig``'s defaults for every setting the
+    plants do not name, such as ``vol_base`` and ``vol_floor``.
     """
 
     usdt_eth_return: float = 0.0
@@ -316,27 +295,26 @@ class GridPlants:
 
 
 def gen_market(seed: int, hours: int, plants: GridPlants = GridPlants(),
-               start: int = DEFAULT_START,
                sub_frequency: timedelta = DEFAULT_SUB_FREQUENCY) -> MarketData:
     """Flows for USDT/ETH/BTC and bars for ETH/BTC with the planted relations."""
+    eth_cfg = SynthConfig(seed=seed, hours=hours, beta2=plants.return_ar,
+                          noise_sd=plants.noise_sd, sub_frequency=sub_frequency)
+    eth_cfg.validate()
     seqs = np.random.SeedSequence(seed).spawn(5)
     flows = {
-        Asset.USDT: gen_flows(seqs[0], hours, 100.0, Asset.USDT, start),
-        Asset.ETH: gen_flows(seqs[1], hours, 1.0, Asset.ETH, start),
-        Asset.BTC: gen_flows(seqs[2], hours, 1e-4, Asset.BTC, start),
+        Asset.USDT: gen_flows(seqs[0], hours, 100.0, Asset.USDT),
+        Asset.ETH: gen_flows(seqs[1], hours, 1.0, Asset.ETH),
+        Asset.BTC: gen_flows(seqs[2], hours, 1e-4, Asset.BTC),
     }
-    common = dict(beta0=0.0, beta2=plants.return_ar, noise_sd=plants.noise_sd,
-                  sub_frequency=sub_frequency, start=start)
     bars = {
         Asset.ETH: gen_price_bars(
-            seqs[3], hours, flows,
+            seqs[3], eth_cfg, flows,
             return_betas={Asset.USDT: plants.usdt_eth_return,
                           Asset.ETH: plants.eth_eth_return},
-            vol_betas={}, init_price=2000.0, asset=Asset.ETH, **common),
+            vol_betas={}),
         Asset.BTC: gen_price_bars(
-            seqs[4], hours, flows,
+            seqs[4], replace(eth_cfg, init_price=30000.0, asset=Asset.BTC), flows,
             return_betas={Asset.USDT: plants.usdt_btc_return},
-            vol_betas={Asset.BTC: plants.btc_btc_vol},
-            init_price=30000.0, asset=Asset.BTC, **common),
+            vol_betas={Asset.BTC: plants.btc_btc_vol}),
     }
     return MarketData(flows=flows, bars=bars)

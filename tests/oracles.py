@@ -385,12 +385,12 @@ def reference_option_chain(cfg, bars, flows):
     net = flows.net_usd / 1e6
     expiry_s = int(spec.expiry_every.total_seconds())
     life_s = int(spec.lifetime.total_seconds())
-    end = cfg.start + 3600 * cfg.hours
-    expiries = range(cfg.start + expiry_s, end + expiry_s + 1, expiry_s)
+    end = synth.DEFAULT_START + 3600 * cfg.hours
+    expiries = range(synth.DEFAULT_START + expiry_s, end + expiry_s + 1, expiry_s)
     strikes_of = {}
     rows = []
     for i in range(1, cfg.hours + 1):
-        t = cfg.start + 3600 * i
+        t = synth.DEFAULT_START + 3600 * i
         index = float(hour_close[i - 1])
         sigma = max(spec.iv_base + spec.iv_flow_beta * float(net[i - 1]), synth.IV_FLOOR)
         instruments = []

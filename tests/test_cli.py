@@ -352,6 +352,7 @@ def test_synth_rejects_a_bad_flag_before_drawing(tmp_path, capsys, flags, messag
     ("regress", ["--horizons", "0"], 2, "bad horizon list '0'"),
     ("regress", ["--horizons", "1,-1"], 2, "bad horizon list '1,-1'"),
     ("regress", ["--horizons", "1.5"], 2, "bad horizon list '1.5'"),
+    ("regress", ["--horizons", ","], 2, "bad horizon list ','"),
     ("regress", ["--hac-lags", "-1"], 2, "'--hac-lags': -1 is not in the range x>=0"),
     ("regress", ["--pairs", "USDT-ETH"], 2, "bad pair 'USDT-ETH'; expected e.g. 'USDT:ETH'"),
     ("regress", ["--pairs", " , "], 2, "no pairs given"),
@@ -363,11 +364,12 @@ def test_synth_rejects_a_bad_flag_before_drawing(tmp_path, capsys, flags, messag
     ("events", ["--window-post-hours", "-1"], 2,
      "'--window-post-hours': -1 is not in the range x>=0"),
     ("events", ["--years", "x"], 2, "bad year list 'x'"),
+    ("events", ["--years", ","], 2, "bad year list ','"),
     ("backtest", ["--legs", "middle"], 2, "bad leg 'middle'; allowed: top, bottom"),
     ("backtest", ["--help"], 0, "Percentile-triggered call backtest"),
-], ids=["horizon-zero", "horizon-negative", "horizon-fraction", "hac-lags",
+], ids=["horizon-zero", "horizon-negative", "horizon-fraction", "no-horizons", "hac-lags",
         "pair", "no-pairs", "target", "model", "no-models", "window-pre", "window-post",
-        "years", "leg", "help"])
+        "years", "no-years", "leg", "help"])
 def test_flag_errors_exit_2_and_help_exits_0(dataset, tmp_path, capsys, command, flags,
                                              code, message):
     inputs = {"regress": ["--bars-eth", str(dataset / "bars_eth.csv"),
@@ -380,6 +382,15 @@ def test_flag_errors_exit_2_and_help_exits_0(dataset, tmp_path, capsys, command,
     captured = capsys.readouterr()
     assert message in (captured.out if code == 0 else captured.err)
     assert not out.exists()
+
+
+def test_bad_list_flag_is_refused_before_any_input_is_read(dataset, tmp_path, capsys):
+    flows = tmp_path / "flows.csv"
+    flows.write_text("timestamp,asset,inflow_usd,outflow_usd\nnot,a,valid,row\n")
+    argv = ["regress", "--flows", str(flows), "--bars-eth", str(dataset / "bars_eth.csv"),
+            "--pairs", "USDT:ETH", "--models", "triple", "--out", str(tmp_path / "o")]
+    assert main(argv) == 2
+    assert "bad model 'triple'; allowed: single, double" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag,data,reason", [

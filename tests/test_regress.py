@@ -224,6 +224,18 @@ def test_run_grid_marks_rank_deficient_cells():
     assert all(c.error is not None and "RankDeficient" in c.error for c in cells)
 
 
+def test_run_grid_refuses_an_unknown_target_or_model_up_front():
+    # No series can be built from an empty market, so each cell would fail;
+    # the unknown value must be refused before any of them is tried.
+    empty = regress.MarketData(flows={}, bars={})
+    with pytest.raises(errors.InvalidConfig,
+                       match="^unknown target 'price'; allowed: return, volatility$"):
+        run_grid(empty, targets=("return", "price"))
+    with pytest.raises(errors.InvalidConfig,
+                       match="^unknown model 'triple'; allowed: single, double$"):
+        run_grid(empty, models=("triple",))
+
+
 def test_run_grid_deterministic_serialization():
     data = _planted_market(hours=600)
     a = grid_to_json(run_grid(data))

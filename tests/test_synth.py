@@ -236,13 +236,23 @@ def test_chain_prices_match_quadrature_oracle():
 
 
 def test_invalid_configs_rejected():
-    with pytest.raises(errors.InvalidConfig):
-        gen_flows_and_prices(SynthConfig(seed=1, hours=50))  # too short
-    with pytest.raises(errors.InvalidConfig):
-        gen_flows_and_prices(SynthConfig(seed=1, hours=100, noise_sd=-1.0))
-    with pytest.raises(errors.InvalidConfig):
-        gen_flows_and_prices(SynthConfig(seed=1, hours=100,
-                                         sub_frequency=timedelta(minutes=7)))
+    # gen_market takes these settings through its own arguments and
+    # GridPlants, and refuses them with gen_flows_and_prices' message.
+    seven_minutes = timedelta(minutes=7)
+    for fields, market in [
+        (dict(hours=50), dict(hours=50)),  # too short
+        (dict(hours=100, noise_sd=-1.0), dict(hours=100, plants=GridPlants(noise_sd=-1.0))),
+        (dict(hours=100, sub_frequency=seven_minutes),
+         dict(hours=100, sub_frequency=seven_minutes)),
+    ]:
+        with pytest.raises(errors.InvalidConfig) as single:
+            gen_flows_and_prices(SynthConfig(seed=1, **fields))
+        with pytest.raises(errors.InvalidConfig) as multi:
+            gen_market(1, **market)
+        assert str(multi.value) == str(single.value)
+    with pytest.raises(errors.InvalidConfig,
+                       match="^hours=101 is not a multiple of the 2h vol horizon$"):
+        gen_flows_and_prices(SynthConfig(seed=1, hours=101, vol_horizon=timedelta(hours=2)))
     flows, bars = gen_flows_and_prices(SynthConfig(seed=1, hours=100))
     with pytest.raises(errors.InvalidConfig):
         gen_option_chain(SynthConfig(seed=1, hours=100), bars, flows)
