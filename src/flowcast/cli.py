@@ -346,8 +346,9 @@ def cmd_synth(seed, hours, usdt_eth_ret, eth_eth_ret, usdt_btc_ret, btc_btc_vol,
     """Write a planted synthetic dataset in the ingestion CSV schemas."""
     sub = timedelta(minutes=sub_frequency_minutes)
     chain_cfg = synth.SynthConfig(
-        seed=seed, hours=hours, sub_frequency=sub,
+        seed=seed, hours=hours, noise_sd=noise_sd, sub_frequency=sub,
         chain=synth.OptionChainSpec(iv_base=iv_base, iv_flow_beta=iv_flow_beta))
+    chain_cfg.validate()  # every flag, before the market is drawn
     plants = synth.GridPlants(
         usdt_eth_return=usdt_eth_ret, eth_eth_return=eth_eth_ret,
         usdt_btc_return=usdt_btc_ret, btc_btc_vol=btc_btc_vol,

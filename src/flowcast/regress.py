@@ -86,10 +86,13 @@ class OlsFit:
 
 
 def design_matrix(sample: AlignedSample) -> tuple[np.ndarray, np.ndarray]:
-    cols = [np.ones(sample.n), sample.predictor]
+    """``X`` = [1, predictor (, control)] column by column, and ``y``."""
+    X = np.empty((sample.n, 2 if sample.control is None else 3))
+    X[:, 0] = 1.0
+    X[:, 1] = sample.predictor
     if sample.control is not None:
-        cols.append(sample.control)
-    return np.column_stack(cols), np.asarray(sample.response, dtype=np.float64)
+        X[:, 2] = sample.control
+    return X, np.asarray(sample.response, dtype=np.float64)
 
 
 def default_hac_lags(n: int) -> int:
@@ -136,11 +139,13 @@ def ols_fit(sample: AlignedSample, hac_lags: int | None = None) -> OlsFit:
         cov = _newey_west_cov(X, resid, hac_lags)
     se = np.sqrt(np.maximum(np.diag(cov), 0.0))
 
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t_stat = np.where(se > 0, beta / np.where(se > 0, se, 1.0),
-                          np.where(beta == 0, 0.0, np.sign(beta) * np.inf))
+    # A zero (or NaN) standard error gives t = 0 for a zero coefficient and
+    # +-inf (NaN for a NaN one) otherwise.
+    t_stat = np.array([b / s if s > 0 else 0.0 if b == 0 else b * math.inf
+                       for b, s in zip(beta.tolist(), se.tolist())])
 
-    sst = float(np.sum((y - y.mean()) ** 2))
+    dev = y - y.sum() / n
+    sst = float((dev * dev).sum())
     r2 = 1.0 - sse / sst if sst > 0 else 0.0
     r2_adj = 1.0 - (1.0 - r2) * (n - 1) / dof
     return OlsFit(beta=beta, se=se, t_stat=t_stat, r2_adj=r2_adj, n=n)

@@ -13,24 +13,32 @@ Conventions shared by every series here:
   on gapless data.
 * Windows touched by any missing bar or flow hour are dropped, never
   filled.
+* Each horizon series keeps its bucket grid once ``align`` first asks for
+  it: one bool and one value per bucket from the series' first point to
+  its last, the way ``BarSeries.close_grid`` holds one slot per bar. A
+  series must therefore not be mutated after its first ``align``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from datetime import timedelta
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import (
+    DuplicateTimestamp,
     EmptyAlignment,
     EmptyInput,
     FrequencyMismatch,
     HorizonMismatch,
     InsufficientSubBars,
+    InvalidConfig,
     MixedAssets,
 )
-from .ingest import Asset, BarSeries, FlowSeries
+from .ingest import Asset, BarSeries, FlowSeries, format_timestamp
 
 HOUR = timedelta(hours=1)
 USD_PER_MUSD = 1e6
@@ -43,6 +51,14 @@ def _seconds(duration: timedelta, name: str = "duration") -> int:
     return int(s)
 
 
+class _BucketGrid(NamedTuple):
+    """A horizon series scattered over its buckets ``timestamp // horizon``."""
+
+    first: int  # bucket of the series' first point
+    present: np.ndarray  # read-only bool per bucket, first .. last point
+    values: np.ndarray  # read-only value per bucket, 0 where absent
+
+
 @dataclass
 class _HorizonSeries:
     asset: Asset | None
@@ -52,6 +68,23 @@ class _HorizonSeries:
 
     def __len__(self) -> int:
         return len(self.timestamps)
+
+    @cached_property
+    def grid(self) -> _BucketGrid:
+        """The series on its bucket grid, built on first use and kept: one bool
+        and one value per bucket from the first point to the last. A timestamp
+        off the horizon grid raises HorizonMismatch on every use."""
+        h_s = _seconds(self.horizon, "horizon")
+        if (self.timestamps % h_s).any():
+            raise HorizonMismatch(f"series has timestamps off the {self.horizon} grid")
+        at = self.timestamps // h_s
+        first = int(at[0]) if len(at) else 0
+        at -= first
+        span = int(at[-1]) + 1 if len(at) else 0
+        present, values = np.zeros(span, dtype=bool), np.zeros(span, self.values.dtype)
+        present[at], values[at] = True, self.values
+        present.flags.writeable = values.flags.writeable = False
+        return _BucketGrid(first, present, values)
 
 
 class NetInflowSeries(_HorizonSeries):
@@ -84,22 +117,32 @@ class AlignedSample:
 def net_inflows(flows: FlowSeries, horizon: timedelta) -> NetInflowSeries:
     """Sum hourly net flows into non-overlapping horizon buckets (US$M).
 
-    A bucket is emitted only when every constituent hour is present.
+    A bucket is emitted only when every constituent hour is present. The
+    hours must ascend: a repeated hour raises DuplicateTimestamp and one out
+    of order InvalidConfig.
     """
     if len(flows) == 0:
         raise EmptyInput("no flow records")
     if not (flows.assets == flows.assets[0]).all():
         raise MixedAssets(f"expected one asset, got {[a.value for a in flows.asset_set()]}")
+    ts = flows.timestamps
+    back = np.flatnonzero(ts[1:] <= ts[:-1])
+    if len(back):
+        prev, at = ts[back[0]], ts[back[0] + 1]
+        if at == prev:
+            raise DuplicateTimestamp(f"duplicate flow hour {format_timestamp(at)}")
+        raise InvalidConfig(f"flow hours must ascend: {format_timestamp(at)} follows "
+                            f"{format_timestamp(prev)}")
     h_s = _seconds(horizon, "horizon")
     if h_s % 3600 != 0:
         raise FrequencyMismatch(f"horizon {horizon} is not a whole number of hours")
     hours_per_bucket = h_s // 3600
 
-    ts = flows.timestamps
     net = flows.net_usd
-    bucket_ids = ts // h_s
-    uniq, start, counts = np.unique(bucket_ids, return_index=True, return_counts=True)
-    full = counts == hours_per_bucket
+    # Neighbouring hours share a bucket only because the hours ascend.
+    buckets = ts // h_s
+    start = np.flatnonzero(np.concatenate(([True], buckets[1:] != buckets[:-1])))
+    full = np.diff(start, append=len(buckets)) == hours_per_bucket
     # Sum each full bucket strictly left to right (hours are contiguous in the
     # sorted array), so results match an element-by-element oracle exactly.
     idx = start[full][:, None] + np.arange(hours_per_bucket)
@@ -108,7 +151,7 @@ def net_inflows(flows: FlowSeries, horizon: timedelta) -> NetInflowSeries:
     for j in range(1, hours_per_bucket):
         sums += vals[:, j]
     return NetInflowSeries(asset=Asset(flows.assets[0]), horizon=horizon,
-                           timestamps=uniq[full] * h_s,
+                           timestamps=buckets[start[full]] * h_s,
                            values=sums / USD_PER_MUSD)
 
 
@@ -126,6 +169,12 @@ def _window_starts(bars: BarSeries, h_s: int) -> tuple[np.ndarray, np.ndarray]:
     return t, (t - f_s - g0) // f_s
 
 
+def _covered(bars: BarSeries, a: np.ndarray, nsub: int) -> np.ndarray:
+    """Whether every bar of each window, ``close_grid[a .. a+nsub]``, is present."""
+    present = bars.close_coverage
+    return present[a + nsub] - np.where(a > 0, present[a - 1], 0) == nsub + 1
+
+
 def returns(bars: BarSeries, horizon: timedelta) -> ReturnSeries:
     """Forward simple returns close(t+h)/close(t) - 1 on the horizon grid."""
     f_s = _seconds(bars.frequency, "bar frequency")
@@ -136,11 +185,9 @@ def returns(bars: BarSeries, horizon: timedelta) -> ReturnSeries:
     t, a = _window_starts(bars, h_s)
     if len(t) == 0:
         return ReturnSeries(bars.asset, horizon, np.empty(0, np.int64), np.empty(0))
-    closes, present = bars.close_grid, bars.close_coverage
-    span = nsub + 1  # bars at t-f .. t+h-f
-    covered = present[a + nsub] - np.where(a > 0, present[a - 1], 0) == span
+    covered = _covered(bars, a, nsub)
     t, a = t[covered], a[covered]
-    vals = closes[a + nsub] / closes[a] - 1.0
+    vals = bars.close_grid[a + nsub] / bars.close_grid[a] - 1.0
     return ReturnSeries(bars.asset, horizon, t, vals)
 
 
@@ -163,8 +210,9 @@ def realized_vol(bars: BarSeries, horizon: timedelta) -> VolSeries:
         return VolSeries(bars.asset, horizon, np.empty(0, np.int64), np.empty(0))
     # Window i holds sub-returns a[i]+1 .. a[i]+nsub, and a steps by nsub.
     windows = bars.sub_returns[a[0] + 1:a[0] + 1 + len(t) * nsub].reshape(len(t), nsub)
-    valid = ~np.isnan(windows).any(axis=1)
-    t, windows = t[valid], windows[valid]
+    covered = _covered(bars, a, nsub)
+    if not covered.all():
+        t, windows = t[covered], windows[covered]
     vals = np.std(windows, axis=1, ddof=1) if len(t) else np.empty(0)
     return VolSeries(bars.asset, horizon, t, vals)
 
@@ -177,6 +225,11 @@ def align(predictor: NetInflowSeries, response: ReturnSeries | VolSeries,
     Only timestamps where all requested points exist survive; the response
     therefore never precedes its predictor. Series pair by bucket index
     ``timestamp // horizon``; a timestamp off that grid raises HorizonMismatch.
+
+    Each series' ``grid`` (one bool and one value per bucket from its first
+    point to its last) is built on its first ``align`` and kept, so later
+    calls only slice the grids over their overlap, AND the masks and gather.
+    A series must not be mutated after its first ``align``.
     """
     if horizon is None:
         horizon = predictor.horizon
@@ -185,27 +238,22 @@ def align(predictor: NetInflowSeries, response: ReturnSeries | VolSeries,
         if s.horizon != horizon:
             raise HorizonMismatch(f"series at {s.horizon}, expected {horizon}")
     h_s = _seconds(horizon, "horizon")
-    if any((s.timestamps % h_s).any() for s in pieces):
-        raise HorizonMismatch(f"series has timestamps off the {horizon} grid")
-    buckets = [s.timestamps // h_s for s in pieces]
-    buckets[1] = buckets[1] - 1  # response(t + horizon) pairs with predictor(t)
-    if not all(len(b) for b in buckets):
+    grids = [s.grid for s in pieces]
+    if not all(len(s) for s in pieces):
         raise EmptyAlignment("no overlapping predictor/response timestamps")
+    firsts = [g.first for g in grids]
+    firsts[1] -= 1  # response(t + horizon) pairs with predictor(t)
 
-    # Scatter each series over the span of buckets they share; keep those in all.
-    lo, hi = max(b[0] for b in buckets), min(b[-1] for b in buckets)
-    present = np.ones(max(hi - lo + 1, 0), dtype=bool)
-    dense = []
-    for s, b in zip(pieces, buckets):
-        inside = slice(*np.searchsorted(b, (lo, hi + 1)))
-        at = b[inside] - lo
-        here, values = np.zeros(len(present), bool), np.empty(len(present), s.values.dtype)
-        here[at], values[at] = True, s.values[inside]
-        present &= here
-        dense.append(values)
+    # Slice each grid to the buckets they share; keep those present in all.
+    lo = max(firsts)
+    span = max(min(f + len(g.present) for f, g in zip(firsts, grids)) - lo, 0)
+    masks = [g.present[lo - f:lo - f + span] for f, g in zip(firsts, grids)]
+    present = masks[0] & masks[1]
+    if control is not None:
+        present &= masks[2]
     rows = np.flatnonzero(present)
     if len(rows) == 0:
         raise EmptyAlignment("no overlapping predictor/response timestamps")
-    ctrl = dense[2][rows] if control is not None else None
-    return AlignedSample(timestamps=(rows + lo) * h_s, predictor=dense[0][rows],
-                         response=dense[1][rows], control=ctrl, horizon=horizon)
+    pred, resp, *ctrl = [g.values[lo - f:][rows] for f, g in zip(firsts, grids)]
+    return AlignedSample(timestamps=(rows + lo) * h_s, predictor=pred, response=resp,
+                         control=ctrl[0] if ctrl else None, horizon=horizon)

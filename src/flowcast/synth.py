@@ -101,6 +101,12 @@ class SynthConfig:
             raise InvalidConfig("vol_horizon must be a whole number of hours")
         if self.hours % vh != 0:
             raise InvalidConfig(f"hours={self.hours} is not a multiple of the {vh:g}h vol horizon")
+        if self.chain is not None:
+            if min(int(self.chain.expiry_every.total_seconds()),
+                   int(self.chain.lifetime.total_seconds())) <= 0:
+                raise InvalidConfig("expiry_every and lifetime must be positive")
+            if self.chain.iv_base <= 0:
+                raise InvalidConfig("iv_base must be positive")
 
 
 def gen_flows(seq: np.random.SeedSequence, hours: int, flow_sd_musd: float,
@@ -233,10 +239,6 @@ def gen_option_chain(cfg: SynthConfig, bars: BarSeries, flows: FlowSeries) -> Qu
         raise InvalidConfig("bars do not cover the generation grid")
     expiry_s = int(spec.expiry_every.total_seconds())
     life_s = int(spec.lifetime.total_seconds())
-    if expiry_s <= 0 or life_s <= 0:
-        raise InvalidConfig("expiry_every and lifetime must be positive")
-    if spec.iv_base <= 0:
-        raise InvalidConfig("iv_base must be positive")
     net = _hourly_net_musd(flows, cfg.hours)
 
     # Hour k quotes at t = DEFAULT_START + (k+1)h: the close of the last sub-bar of

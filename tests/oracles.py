@@ -2,7 +2,7 @@
 
 Everything here is deliberately written the slow, obvious way, without
 reusing any code path from the package under test: explicit loops,
-explicit Gaussian elimination, numeric quadrature. There are three
+explicit Gaussian elimination, numeric quadrature. There are five
 exceptions. ``reference_backtest`` re-implements the quote lookup, one
 ``OptionQuote`` per quote and the per-trade bucket filter and aggregation,
 and shares only the scalar trade accounting (``trade``) with the package.
@@ -10,9 +10,12 @@ and shares only the scalar trade accounting (``trade``) with the package.
 schemas and the scalar converters and checks (``check_row``) with the
 package, and re-implements the reading loop and the order of its faults.
 ``reference_align`` is the timestamp-matching ``align``: it shares the
-sample type and the errors with the package. ``reference_option_chain``
-is the per-hour synthetic call chain, priced one quote at a time by the
-scalar ``reference_black_scholes_call``; it shares only ``QuoteSeries``.
+sample type and the errors with the package. ``reference_ols_fit`` is the
+earlier ``ols_fit`` kept verbatim, with its ``column_stack`` design
+matrix: it shares ``OlsFit``, the errors and the Newey-West covariance.
+``reference_option_chain`` is the per-hour synthetic call chain, priced one
+quote at a time by the scalar ``reference_black_scholes_call``; it shares
+only ``QuoteSeries``.
 """
 
 import csv
@@ -24,7 +27,8 @@ from scipy.integrate import quad
 from scipy.special import ndtr
 
 from flowcast import synth
-from flowcast.errors import EmptyAlignment, HorizonMismatch, MalformedRow, ValidationError
+from flowcast.errors import (EmptyAlignment, HorizonMismatch, InvalidConfig, MalformedRow,
+                             RankDeficient, TooFewObservations, ValidationError)
 from flowcast.ingest import OptionQuote, QuoteSeries, check_row
 from flowcast.options import (
     WTL_COUNTS,
@@ -35,6 +39,7 @@ from flowcast.options import (
     select_percentile_hours,
     trade,
 )
+from flowcast.regress import OlsFit, _newey_west_cov
 from flowcast.series import AlignedSample, _seconds
 
 
@@ -146,6 +151,45 @@ def ols_reference(X, y):
     r2 = 1.0 - sse / sst if sst > 0 else 0.0
     r2_adj = 1.0 - (1.0 - r2) * (n - 1) / (n - p)
     return beta, se, r2_adj
+
+
+def reference_ols_fit(sample, hac_lags=None):
+    """``ols_fit`` as it was before it built ``X`` in place and computed
+    ``t_stat`` and ``sst`` without ``np.errstate``, ``np.where`` and
+    ``np.mean``; every field of its result must match to the byte."""
+    cols = [np.ones(sample.n), sample.predictor]
+    if sample.control is not None:
+        cols.append(sample.control)
+    X, y = np.column_stack(cols), np.asarray(sample.response, dtype=np.float64)
+    n, p = X.shape
+    k = p - 1
+    if n < k + 2:
+        raise TooFewObservations(f"n={n} but need at least {k + 2} rows for k={k}")
+    sv = np.linalg.svd(X, compute_uv=False)
+    if sv[-1] <= sv[0] * max(n, p) * np.finfo(np.float64).eps:
+        raise RankDeficient("design matrix is rank deficient")
+
+    xtx = X.T @ X
+    beta = np.linalg.solve(xtx, X.T @ y)
+    resid = y - X @ beta
+    sse = float(resid @ resid)
+    dof = n - p
+    if hac_lags is None:
+        cov = (sse / dof) * np.linalg.inv(xtx)
+    else:
+        if hac_lags < 0:
+            raise InvalidConfig(f"hac_lags must be >= 0, got {hac_lags}")
+        cov = _newey_west_cov(X, resid, hac_lags)
+    se = np.sqrt(np.maximum(np.diag(cov), 0.0))
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_stat = np.where(se > 0, beta / np.where(se > 0, se, 1.0),
+                          np.where(beta == 0, 0.0, np.sign(beta) * np.inf))
+
+    sst = float(np.sum((y - y.mean()) ** 2))
+    r2 = 1.0 - sse / sst if sst > 0 else 0.0
+    r2_adj = 1.0 - (1.0 - r2) * (n - 1) / dof
+    return OlsFit(beta=beta, se=se, t_stat=t_stat, r2_adj=r2_adj, n=n)
 
 
 def newey_west_reference(X, resid, lags):

@@ -10,6 +10,7 @@ import jsonschema
 import pytest
 
 import flowcast
+from flowcast import synth
 from flowcast.cli import main
 
 GRID_SCHEMA = {
@@ -340,8 +341,15 @@ def test_validation_error_exit_code(tmp_path, capsys):
     (["--noise-sd", "-1"], "standard deviations must be non-negative"),
     (["--sub-frequency-minutes", "0"], "sub_frequency must divide one hour"),
     (["--sub-frequency-minutes", "-5"], "sub_frequency must divide one hour"),
-], ids=["noise-sd", "sub-frequency-zero", "sub-frequency-negative"])
-def test_synth_rejects_a_bad_flag_before_drawing(tmp_path, capsys, flags, message):
+    (["--iv-base", "0"], "iv_base must be positive"),
+    (["--iv-base", "-1"], "iv_base must be positive"),
+], ids=["noise-sd", "sub-frequency-zero", "sub-frequency-negative", "iv-base-zero",
+        "iv-base-negative"])
+def test_synth_rejects_a_bad_flag_before_drawing(tmp_path, capsys, monkeypatch, flags, message):
+    def drawn(*args, **kwargs):
+        raise AssertionError("gen_market ran before the flags were checked")
+
+    monkeypatch.setattr(synth, "gen_market", drawn)
     out = tmp_path / "data"
     assert main(["synth", "--seed", "1", "--hours", "100", *flags, "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"validation error: {message}\n"

@@ -11,6 +11,8 @@ import hashlib
 import pytest
 
 from flowcast.cli import main
+from flowcast.regress import grid_to_json, run_grid
+from flowcast.synth import GridPlants, gen_market
 
 # (seed, hours) -> {"<output dir>/<file>": sha256}, 29 files per dataset.
 GOLDEN = {
@@ -179,3 +181,21 @@ def test_golden_output_digests(tmp_path, capsys, seed, hours):
     digests, backtest_stdout = run_pipeline(tmp_path, seed, hours, capsys)
     assert digests == GOLDEN[(seed, hours)]
     assert backtest_stdout == GOLDEN_BACKTEST_STDOUT[(seed, hours)]
+
+
+# SHA-256 of grid_to_json(run_grid(...)) on one 40,000-hour market with the
+# plants of acceptance criterion 3, classical and with hac_lags=4. The grid
+# above sees only 400 and 2,000 hours; these pin the large-n fits. They are
+# the same with OpenBLAS on one thread and on two.
+GOLDEN_40K_SEED = 1
+GOLDEN_40K_GRID = "8a91ea4e399be59a31d928d73d7d37947e325a570abe3e66985e0aa7784b1fc1"
+GOLDEN_40K_GRID_HAC4 = "925acd2471d1619c1d3cabe193e27c42d073eee405ee111a3e909ababbc8fbc9"
+
+
+def test_golden_40k_hour_grid_digests():
+    data = gen_market(GOLDEN_40K_SEED, 40_000, GridPlants(
+        usdt_eth_return=1.1e-5, eth_eth_return=-0.017, usdt_btc_return=6.3e-6,
+        btc_btc_vol=-17.0, return_ar=-0.03))
+    for hac_lags, want in ((None, GOLDEN_40K_GRID), (4, GOLDEN_40K_GRID_HAC4)):
+        grid = grid_to_json(run_grid(data, hac_lags=hac_lags))
+        assert hashlib.sha256(grid.encode()).hexdigest() == want, hac_lags

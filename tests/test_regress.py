@@ -130,6 +130,40 @@ def test_hac_matches_double_loop_oracle(rng):
     assert default_hac_lags(100) == 4
 
 
+def _fit_bytes(fit):
+    return ([(a.dtype.str, a.tobytes()) for a in (fit.beta, fit.se, fit.t_stat)]
+            + [float(fit.r2_adj).hex(), fit.n])
+
+
+@pytest.mark.parametrize("hac_lags", [None, 0, 1, 2, 3, 4])
+def test_ols_fit_is_byte_identical_to_reference_ols_fit(rng, hac_lags):
+    samples = []
+    for i in range(60):
+        n = int(rng.integers(4, 300))
+        x = rng.normal(size=n)
+        ctrl = rng.normal(size=n) if i % 2 else None
+        y = rng.uniform(-2, 2) * x + rng.normal(0.0, rng.uniform(1e-3, 10.0), size=n)
+        samples.append(sample_from(x, y, control=ctrl))
+    # Orthogonal +-1 regressors fit these exactly, so every se is 0 and t is
+    # 0 for a zero coefficient and +-inf for any other.
+    alt = np.tile([-1.0, 1.0], 20)
+    exact = [sample_from(alt, np.zeros(40)), sample_from(alt, np.ones(40)),
+             sample_from(alt, 2.0 * alt),
+             sample_from(alt, -2.0 * alt, control=np.repeat(alt[:2], 20))]
+    for sample in exact:
+        assert not ols_fit(sample, hac_lags).se.any()
+    # Non-finite responses; inf warns inside numpy, on both sides alike.
+    x = np.linspace(-2, 3, 50)
+    nonfinite = [sample_from(x, np.where(x > 0, np.nan, x)),
+                 sample_from(x, np.where(x > 0, np.inf, x), control=np.cos(x))]
+    for sample in samples + exact + nonfinite:
+        with np.errstate(all="ignore"):
+            got, want = ols_fit(sample, hac_lags), oracles.reference_ols_fit(sample, hac_lags)
+        assert _fit_bytes(got) == _fit_bytes(want)
+    t_exact = {float(t) for s in exact for t in ols_fit(s, hac_lags).t_stat}
+    assert t_exact == {0.0, np.inf, -np.inf}
+
+
 # ---------------------------------------------------------------------------
 # significance
 # ---------------------------------------------------------------------------

@@ -83,6 +83,33 @@ def test_net_inflow_mixed_assets_rejected():
         net_inflows(mixed, H1)
 
 
+def _flows_at(hours, nets_musd):
+    from flowcast.ingest import FlowSeries
+    ts = np.array([T0 + 3600 * h for h in hours], dtype=np.int64)
+    nets = np.asarray(nets_musd, dtype=np.float64) * 1e6
+    return FlowSeries(ts, np.full(len(ts), "ETH", dtype="U4"),
+                      np.maximum(nets, 0.0), np.maximum(-nets, 0.0))
+
+
+def test_net_inflow_sums_ascending_hours():
+    series = net_inflows(_flows_at([0, 1, 2, 3], [1.0, 4.0, 2.0, 8.0]), H2)
+    assert series.values.tolist() == [5.0, 10.0]
+
+
+def test_net_inflow_rejects_hours_out_of_order():
+    # Grouping neighbours would sum hours {0, 2} and {1, 3}: [3, 12] at 2 h.
+    with pytest.raises(errors.InvalidConfig,
+                       match="^flow hours must ascend: 2021-01-07T01:00:00Z follows "
+                             "2021-01-07T02:00:00Z$"):
+        net_inflows(_flows_at([0, 2, 1, 3], [1.0, 2.0, 4.0, 8.0]), H2)
+
+
+def test_net_inflow_rejects_a_repeated_hour():
+    with pytest.raises(errors.DuplicateTimestamp,
+                       match="^duplicate flow hour 2021-01-07T01:00:00Z$"):
+        net_inflows(_flows_at([0, 1, 1, 2, 3], [1.0, 2.0, 4.0, 8.0, 16.0]), H2)
+
+
 # ---------------------------------------------------------------------------
 # returns
 # ---------------------------------------------------------------------------
@@ -177,6 +204,18 @@ def test_series_match_window_loops_on_gappy_bars(seed):
             assert 0 < len(want) < (n * 300) // h_s
             assert got.timestamps.tolist() == list(want)
             assert [v.hex() for v in got.values.tolist()] == [v.hex() for v in want.values()]
+
+
+def test_vol_with_gaps_in_the_first_and_last_windows_matches_window_loop(rng):
+    closes = 100.0 * np.exp(np.cumsum(rng.normal(0, 0.002, size=12 * 10)))
+    # Of the nine windows, the first (T0 + 1 h) holds bars 11-23 and the last
+    # (T0 + 9 h) bars 107-119; the first loses its opening bar, the last bar 118.
+    bars = make_bars(closes, frequency=M5, gaps=(11, 118))
+    got = realized_vol(bars, H1)
+    want = oracles.window_vols(bars.timestamps, bars.close, 300, 3600, std=oracles.numpy_std)
+    assert list(want) == [T0 + 3600 * k for k in range(2, 9)]
+    assert got.timestamps.tolist() == list(want)
+    assert [v.hex() for v in got.values.tolist()] == [v.hex() for v in want.values()]
 
 
 def test_return_composition_over_sub_bars(rng):
@@ -316,3 +355,39 @@ def test_align_matches_reference_align(case):
         a, b = getattr(got, name), getattr(want, name)
         if b is not None:
             assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes()), name
+
+
+def test_a_second_align_gives_the_same_bytes(rng):
+    pred = _series_at(NetInflowSeries, range(0, 60, 1), rng.normal(size=60))
+    resp = _series_at(ReturnSeries, range(3, 70, 1), rng.normal(size=67))
+    ctrl = _series_at(VolSeries, range(0, 50, 2), rng.normal(size=25))
+    for control in (None, resp, ctrl):
+        first, second = align(pred, resp, control=control), align(pred, resp, control=control)
+        assert first.n > 0
+        for name in ("timestamps", "predictor", "response", "control"):
+            a, b = getattr(first, name), getattr(second, name)
+            assert (a is None and b is None) or (a.dtype, a.tobytes()) == (b.dtype, b.tobytes())
+            assert a is None or a.flags.writeable
+
+
+def test_align_raises_off_grid_on_every_call():
+    pred = _series_at(NetInflowSeries, [0, 1, 2], [1.0, 2.0, 3.0])
+    resp = _series_at(ReturnSeries, [1, 2, 3], [0.1, 0.2, 0.3])
+    resp.timestamps[1] += 60
+    for _ in range(3):
+        with pytest.raises(errors.HorizonMismatch, match="off the 1:00:00 grid"):
+            align(pred, resp)
+
+
+def test_cached_grid_arrays_are_read_only():
+    pred = _series_at(NetInflowSeries, [2, 3, 5], [1.0, 2.0, 3.0])
+    resp = _series_at(ReturnSeries, [3, 4, 6], [0.1, 0.2, 0.3])
+    align(pred, resp)
+    grid = pred.grid
+    assert grid.first == (T0 + 2 * 3600) // 3600
+    assert grid.present.tolist() == [True, True, False, True]
+    assert grid.values.tolist() == [1.0, 2.0, 0.0, 3.0]
+    for arr in (grid.present, grid.values, resp.grid.present, resp.grid.values):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = arr[1]
