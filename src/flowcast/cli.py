@@ -154,7 +154,7 @@ def _load_market(flows_path: str, bars_paths: dict[Asset, str],
     for asset, path in bars_paths.items():
         series, gaps = ingest.parse_bars(path, bar_frequency, asset=asset)
         if gaps:
-            logger.info("%s bars: %d gap(s)", asset.value, len(gaps))
+            logger.info("%s bars: %d gap(s)", asset.value, gaps)
         bars[asset] = series
     return regress.MarketData(flows=flows, bars=bars)
 
@@ -177,7 +177,7 @@ def ingest_check(flows, bars, bar_frequency_minutes, options_path):
                        f"{ingest.format_timestamp(sub.timestamps[-1])}")
     if bars:
         series, gaps = ingest.parse_bars(bars, timedelta(minutes=bar_frequency_minutes))
-        click.echo(f"bars: {len(series)} rows, {len(gaps)} gap(s)")
+        click.echo(f"bars: {len(series)} rows, {gaps} gap(s)")
     if options_path:
         quotes = ingest.parse_option_quotes(options_path)
         _, ids = quotes.instruments()

@@ -135,28 +135,16 @@ class BarSeries:
         return len(self.timestamps)
 
     @cached_property
-    def close_grid(self) -> np.ndarray:
-        """Read-only closes on the dense grid from the first bar, NaN where one is missing."""
-        f_s = int(self.frequency.total_seconds())
-        closes = np.full((int(self.timestamps[-1]) - int(self.timestamps[0])) // f_s + 1, np.nan)
-        closes[(self.timestamps - self.timestamps[0]) // f_s] = self.close
-        closes.flags.writeable = False
-        return closes
+    def runs(self) -> tuple[np.ndarray, np.ndarray]:
+        """First and one-past-last row of each run of bars one ``frequency`` apart."""
+        f_s, ts = int(self.frequency.total_seconds()), self.timestamps
+        return (np.flatnonzero(np.diff(ts, prepend=ts[:1]) != f_s),
+                np.flatnonzero(np.diff(ts, append=ts[-1:]) != f_s) + 1)
 
     @cached_property
-    def close_coverage(self) -> np.ndarray:
-        """Read-only count of the closes present on ``close_grid`` up to each slot."""
-        present = np.cumsum(~np.isnan(self.close_grid))
-        present.flags.writeable = False
-        return present
-
-    @cached_property
-    def sub_returns(self) -> np.ndarray:
-        """Read-only close-to-close returns on ``close_grid``: slot i holds
-        ``close[i] / close[i-1] - 1``, NaN at slot 0 and next to a missing close."""
-        closes = self.close_grid
-        ret = np.full(len(closes), np.nan)
-        ret[1:] = closes[1:] / closes[:-1] - 1.0
+    def row_returns(self) -> np.ndarray:
+        """Read-only ``close[j+1] / close[j] - 1`` for each row j but the last."""
+        ret = self.close[1:] / self.close[:-1] - 1.0
         ret.flags.writeable = False
         return ret
 
@@ -427,11 +415,11 @@ def parse_flows(path: str | Path) -> FlowSeries:
 
 
 def parse_bars(path: str | Path, frequency: timedelta,
-               asset: Asset | None = None) -> tuple[BarSeries, list[datetime]]:
+               asset: Asset | None = None) -> tuple[BarSeries, int]:
     """Parse bars.csv at a declared frequency.
 
-    Returns the sorted bars together with the list of missing grid
-    timestamps (gaps). Gaps are never filled.
+    Returns the sorted bars together with the number of bars missing
+    between the first and the last (gaps). Gaps are never filled.
     """
     freq_s = int(frequency.total_seconds())
     if freq_s <= 0:
@@ -441,8 +429,7 @@ def parse_bars(path: str | Path, frequency: timedelta,
     if len(off_grid):
         raise FrequencyMismatch(
             f"timestamp {format_timestamp(ts[off_grid[0]])} off the {frequency} grid")
-    grid = np.arange(ts[0], ts[-1] + freq_s, freq_s, dtype=np.int64) if len(ts) else ts
-    gaps = [to_datetime(t) for t in np.setdiff1d(grid, ts, assume_unique=True)]
+    gaps = int(ts[-1] - ts[0]) // freq_s + 1 - len(ts) if len(ts) else 0
     return BarSeries(ts, open_, high, low, close, frequency, asset=asset), gaps
 
 

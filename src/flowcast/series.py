@@ -13,9 +13,12 @@ Conventions shared by every series here:
   on gapless data.
 * Windows touched by any missing bar or flow hour are dropped, never
   filled.
+* Returns and volatility read the sorted bars row by row, so their cost
+  follows the bars, not the time they span; bars off the epoch grid of
+  their frequency open no window.
 * Each horizon series keeps its bucket grid once ``align`` first asks for
   it: one bool and one value per bucket from the series' first point to
-  its last, the way ``BarSeries.close_grid`` holds one slot per bar. A
+  its last, so it follows the span of the points, not their count. A
   series must therefore not be mutated after its first ``align``.
 """
 
@@ -72,8 +75,9 @@ class _HorizonSeries:
     @cached_property
     def grid(self) -> _BucketGrid:
         """The series on its bucket grid, built on first use and kept: one bool
-        and one value per bucket from the first point to the last. A timestamp
-        off the horizon grid raises HorizonMismatch on every use."""
+        and one value per bucket from the first point to the last, however few
+        points lie between. A timestamp off the horizon grid raises
+        HorizonMismatch on every use."""
         h_s = _seconds(self.horizon, "horizon")
         if (self.timestamps % h_s).any():
             raise HorizonMismatch(f"series has timestamps off the {self.horizon} grid")
@@ -155,40 +159,32 @@ def net_inflows(flows: FlowSeries, horizon: timedelta) -> NetInflowSeries:
                            values=sums / USD_PER_MUSD)
 
 
-def _window_starts(bars: BarSeries, h_s: int) -> tuple[np.ndarray, np.ndarray]:
-    """Epoch-aligned window timestamps t whose bars [t-f, t+h-f] fall between
-    the first and last bar, and the ``close_grid`` index of the bar at t-f."""
-    if len(bars) == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+def _windows(bars: BarSeries, horizon: timedelta,
+             name: str = "bar frequency") -> tuple[np.ndarray, np.ndarray, int]:
+    """Each epoch-aligned window ``t`` whose nsub+1 bars, from ``t - f`` to
+    ``t + h - f``, are one run; the row of its bar at ``t - f``; and nsub.
+
+    Inside a run the first window opens at the first row stamped ``t - f``
+    and another every nsub rows while the window's last bar is in the run.
+    """
     f_s = _seconds(bars.frequency, "bar frequency")
-    g0 = int(bars.timestamps[0])
-    last = int(bars.timestamps[-1])
-    t_first = -((-(g0 + f_s)) // h_s) * h_s  # ceil to the h grid
-    t_last = ((last - h_s + f_s) // h_s) * h_s  # below t_first: no window fits
-    t = np.arange(t_first, t_last + 1, h_s, dtype=np.int64)
-    return t, (t - f_s - g0) // f_s
-
-
-def _covered(bars: BarSeries, a: np.ndarray, nsub: int) -> np.ndarray:
-    """Whether every bar of each window, ``close_grid[a .. a+nsub]``, is present."""
-    present = bars.close_coverage
-    return present[a + nsub] - np.where(a > 0, present[a - 1], 0) == nsub + 1
+    h_s = _seconds(horizon, "horizon")
+    if h_s % f_s != 0:
+        raise FrequencyMismatch(f"{name} {bars.frequency} does not divide {horizon}")
+    nsub = h_s // f_s
+    starts, ends = bars.runs
+    lag = -(bars.timestamps[starts] + f_s) % h_s  # from each run's start to its first t - f
+    first = starts + lag // f_s
+    count = np.where(lag % f_s == 0, np.maximum((ends - 1 - first) // nsub, 0), 0)
+    k = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+    rows = np.repeat(first, count) + k * nsub
+    return bars.timestamps[rows] + f_s, rows, nsub
 
 
 def returns(bars: BarSeries, horizon: timedelta) -> ReturnSeries:
     """Forward simple returns close(t+h)/close(t) - 1 on the horizon grid."""
-    f_s = _seconds(bars.frequency, "bar frequency")
-    h_s = _seconds(horizon, "horizon")
-    if h_s % f_s != 0:
-        raise FrequencyMismatch(f"bar frequency {bars.frequency} does not divide {horizon}")
-    nsub = h_s // f_s
-    t, a = _window_starts(bars, h_s)
-    if len(t) == 0:
-        return ReturnSeries(bars.asset, horizon, np.empty(0, np.int64), np.empty(0))
-    covered = _covered(bars, a, nsub)
-    t, a = t[covered], a[covered]
-    vals = bars.close_grid[a + nsub] / bars.close_grid[a] - 1.0
-    return ReturnSeries(bars.asset, horizon, t, vals)
+    t, rows, nsub = _windows(bars, horizon)
+    return ReturnSeries(bars.asset, horizon, t, bars.close[rows + nsub] / bars.close[rows] - 1.0)
 
 
 def realized_vol(bars: BarSeries, horizon: timedelta) -> VolSeries:
@@ -197,24 +193,19 @@ def realized_vol(bars: BarSeries, horizon: timedelta) -> VolSeries:
     The bars themselves are the sub-bars: ``bars.frequency`` must divide
     the horizon with at least two bars per window.
     """
-    f_s = _seconds(bars.frequency, "bar frequency")
-    h_s = _seconds(horizon, "horizon")
-    if h_s % f_s != 0:
-        raise FrequencyMismatch(f"sub_frequency {bars.frequency} does not divide {horizon}")
-    nsub = h_s // f_s
+    t, rows, nsub = _windows(bars, horizon, "sub_frequency")
     if nsub < 2:
         raise InsufficientSubBars(
             f"{horizon} window holds {nsub} sub-bar(s); need at least 2")
-    t, a = _window_starts(bars, h_s)
     if len(t) == 0:
-        return VolSeries(bars.asset, horizon, np.empty(0, np.int64), np.empty(0))
-    # Window i holds sub-returns a[i]+1 .. a[i]+nsub, and a steps by nsub.
-    windows = bars.sub_returns[a[0] + 1:a[0] + 1 + len(t) * nsub].reshape(len(t), nsub)
-    covered = _covered(bars, a, nsub)
-    if not covered.all():
-        t, windows = t[covered], windows[covered]
-    vals = np.std(windows, axis=1, ddof=1) if len(t) else np.empty(0)
-    return VolSeries(bars.asset, horizon, t, vals)
+        return VolSeries(bars.asset, horizon, t, np.empty(0))
+    # The window opening at row r holds the returns into rows r+1 .. r+nsub.
+    view = np.lib.stride_tricks.sliding_window_view(bars.row_returns, nsub)
+    # Windows nsub rows apart are a view; a gather copies every bar's return on
+    # each call, which a long-lived process pays for in page faults.
+    one_stride = rows[-1] - rows[0] == (len(rows) - 1) * nsub
+    windows = view[rows[0]::nsub][:len(rows)] if one_stride else view[rows]
+    return VolSeries(bars.asset, horizon, t, np.std(windows, axis=1, ddof=1))
 
 
 def align(predictor: NetInflowSeries, response: ReturnSeries | VolSeries,

@@ -10,7 +10,7 @@ import jsonschema
 import pytest
 
 import flowcast
-from flowcast import synth
+from flowcast import ingest, synth
 from flowcast.cli import main
 
 GRID_SCHEMA = {
@@ -74,6 +74,29 @@ def test_ingest_check(dataset, capsys):
     assert "flows ETH: 400 rows" in out
     assert "bars: 4800 rows, 0 gap(s)" in out
     assert "options:" in out
+
+
+def test_a_far_bar_adds_its_gaps_and_leaves_the_grid(dataset, tmp_path, capsys):
+    # One ETH bar ten years after the last: the gap count grows by the span,
+    # and no window, hence no grid cell, changes.
+    lines = (dataset / "bars_eth.csv").read_text().splitlines(keepends=True)
+    last = ingest.parse_timestamp(lines[-1].split(",")[0])
+    far = last + 10 * 365 * 86400
+    far_bars = tmp_path / "bars_eth.csv"
+    far_bars.write_text("".join(lines) + ingest.format_timestamp(far)
+                        + lines[-1][lines[-1].index(","):])
+    assert main(["ingest-check", "--bars", str(far_bars)]) == 0
+    first = ingest.parse_timestamp(lines[1].split(",")[0])
+    rows = len(lines)  # the header's line counts the far bar
+    gaps = (far - first) // 300 + 1 - rows
+    assert capsys.readouterr().out == f"bars: {rows} rows, {gaps} gap(s)\n"
+    grids = []
+    for i, bars in enumerate((dataset / "bars_eth.csv", far_bars)):
+        out = tmp_path / f"grid{i}"
+        assert main(["regress", "--flows", str(dataset / "flows.csv"), "--bars-eth", str(bars),
+                     "--bars-btc", str(dataset / "bars_btc.csv"), "--out", str(out)]) == 0
+        grids.append((out / "grid.json").read_bytes())
+    assert grids[0] == grids[1]
 
 
 def test_ingest_check_requires_input():

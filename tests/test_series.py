@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from datetime import timedelta
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 import oracles
 from conftest import T0, make_bars, make_flows
 from flowcast import errors
-from flowcast.ingest import Asset
+from flowcast.ingest import Asset, bars_to_csv, parse_bars
 from flowcast.series import (NetInflowSeries, ReturnSeries, VolSeries, align, net_inflows,
                              realized_vol, returns)
 
@@ -206,6 +207,45 @@ def test_series_match_window_loops_on_gappy_bars(seed):
             assert [v.hex() for v in got.values.tolist()] == [v.hex() for v in want.values()]
 
 
+@pytest.mark.parametrize("offset", [60, 150, 299])
+def test_bars_off_the_epoch_grid_open_no_window(offset):
+    # No 5-minute bar closes at t - 5 min for an epoch-aligned t, so the window
+    # loops find no window, and neither may the series.
+    closes = 100.0 * np.exp(np.cumsum(np.random.default_rng(offset).normal(0, 0.002, 120)))
+    bars = make_bars(closes, frequency=M5, start=T0 + offset)
+    for hours in (1, 2, 3, 4, 6):
+        h_s = 3600 * hours
+        assert oracles.forward_returns(bars.timestamps, bars.close, 300, h_s) == {}
+        assert oracles.window_vols(bars.timestamps, bars.close, 300, h_s) == {}
+        assert len(returns(bars, timedelta(hours=hours))) == 0
+        assert len(realized_vol(bars, timedelta(hours=hours))) == 0
+
+
+def test_parse_and_series_memory_follows_the_rows(rng, tmp_path):
+    # 400 hours of 5-minute bars, then one bar ten years after the last.
+    closes = 100.0 * np.exp(np.cumsum(rng.normal(0, 0.002, size=12 * 400 + 1)))
+    bars = make_bars(closes, frequency=M5)
+    far = 10 * 365 * 86400
+    bars.timestamps[-1] += far
+    path = tmp_path / "bars.csv"
+    path.write_text(bars_to_csv(bars), encoding="utf-8")
+    near = make_bars(closes[:-1], frequency=M5)
+
+    tracemalloc.start()
+    try:
+        parsed, gaps = parse_bars(path, M5)
+        series = [(fn(parsed, timedelta(hours=h)), fn(near, timedelta(hours=h)))
+                  for h in (1, 2, 3, 4, 6) for fn in (returns, realized_vol)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
+    assert gaps == (400 * 3600 + far) // 300 + 1 - len(closes)
+    for got, want in series:
+        assert (got.timestamps.tobytes(), got.values.tobytes()) == (
+            want.timestamps.tobytes(), want.values.tobytes())
+
+
 def test_vol_with_gaps_in_the_first_and_last_windows_matches_window_loop(rng):
     closes = 100.0 * np.exp(np.cumsum(rng.normal(0, 0.002, size=12 * 10)))
     # Of the nine windows, the first (T0 + 1 h) holds bars 11-23 and the last
@@ -237,7 +277,7 @@ def test_return_composition_over_sub_bars(rng):
 # ---------------------------------------------------------------------------
 
 def _series_at(cls, hours, values, horizon=H1):
-    from flowcast.ingest import Asset
+    from flowcast.ingest import Asset, bars_to_csv, parse_bars
     ts = np.array([T0 + 3600 * h for h in hours], dtype=np.int64)
     return cls(Asset.ETH, horizon, ts, np.asarray(values, dtype=np.float64))
 
