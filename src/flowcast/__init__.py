@@ -12,7 +12,7 @@ from .errors import (
     FlowcastError,
     ValidationError,
 )
-from .events import CaseWindow, EventHit, detect_extremes, extract_window, threshold_percentile
+from .events import EventHit, detect_extremes, extract_window, threshold_percentile
 from .ingest import (
     Asset,
     BarSeries,
@@ -74,8 +74,7 @@ __all__ = [
     "net_inflows", "returns", "realized_vol", "align",
     "OlsFit", "HeatmapCell", "MarketData", "ols_fit", "significance",
     "run_grid", "daily_weekly_grid", "split_evaluate",
-    "EventHit", "CaseWindow", "detect_extremes", "extract_window",
-    "threshold_percentile",
+    "EventHit", "detect_extremes", "extract_window", "threshold_percentile",
     "CostParams", "TradeOutcome", "BucketKey", "BucketStats", "call_price",
     "trade", "net_pnl", "breakeven_slippage", "otm_range", "initial_capital",
     "bucket_stats",

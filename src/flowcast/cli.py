@@ -134,6 +134,7 @@ class _InputFile(click.Path):
 
 
 _in_path = _InputFile(dir_okay=False)
+_positive = click.IntRange(min=1)
 _out_dir = click.Path(file_okay=False)
 
 
@@ -162,7 +163,7 @@ def _load_market(flows_path: str, bars_paths: dict[Asset, str],
 @cli.command("ingest-check")
 @click.option("--flows", type=_in_path, default=None)
 @click.option("--bars", type=_in_path, default=None)
-@click.option("--bar-frequency-minutes", type=int, default=5, show_default=True)
+@click.option("--bar-frequency-minutes", type=_positive, default=5, show_default=True)
 @click.option("--options", "options_path", type=_in_path, default=None)
 def ingest_check(flows, bars, bar_frequency_minutes, options_path):
     """Parse and validate input CSVs, printing a summary per file."""
@@ -188,7 +189,7 @@ def ingest_check(flows, bars, bar_frequency_minutes, options_path):
 @click.option("--flows", type=_in_path, required=True)
 @click.option("--bars-eth", type=_in_path, default=None)
 @click.option("--bars-btc", type=_in_path, default=None)
-@click.option("--bar-frequency-minutes", type=int, default=5, show_default=True)
+@click.option("--bar-frequency-minutes", type=_positive, default=5, show_default=True)
 @click.option("--horizons", default="1,2,3,4,6", show_default=True,
               callback=_parse_hours_list)
 @click.option("--pairs", default="USDT:ETH,ETH:ETH,USDT:BTC,BTC:BTC", show_default=True)
@@ -240,13 +241,13 @@ def cmd_regress(flows, bars_eth, bars_btc, bar_frequency_minutes, horizons, pair
 @click.option("--flows", type=_in_path, required=True)
 @click.option("--asset", type=click.Choice([a.value for a in Asset]), default="ETH",
               show_default=True)
-@click.option("--k", type=int, default=10, show_default=True)
+@click.option("--k", type=_positive, default=10, show_default=True)
 @click.option("--years", default=None, callback=_parse_years,
               help="Comma-separated years; default: all.")
 @click.option("--most-negative", is_flag=True, help="Rank extreme net outflows instead.")
 @click.option("--bars", type=_in_path, default=None,
               help="Bars for case-study windows (with --window-*-hours).")
-@click.option("--bar-frequency-minutes", type=int, default=5, show_default=True)
+@click.option("--bar-frequency-minutes", type=_positive, default=5, show_default=True)
 @click.option("--window-pre-hours", type=click.IntRange(min=0), default=72, show_default=True)
 @click.option("--window-post-hours", type=click.IntRange(min=0), default=48, show_default=True)
 @click.option("--out", type=_out_dir, required=True)
@@ -257,6 +258,9 @@ def cmd_events(flows, asset, k, years, most_negative, bars, bar_frequency_minute
     hourly = net_inflows(flow_series, timedelta(hours=1))
     hits = events_mod.detect_extremes(hourly, k, years=years,
                                       most_negative=most_negative)
+    if bars:
+        bar_series, _ = ingest.parse_bars(bars, timedelta(minutes=bar_frequency_minutes),
+                                          asset=Asset(asset))
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write(out_dir / "events.csv", events_mod.events_to_csv(hits))
@@ -268,8 +272,6 @@ def cmd_events(flows, asset, k, years, most_negative, bars, bar_frequency_minute
                    f"(threshold percentile {100 * pct:.2f}%)")
 
     if bars:
-        bar_series, _ = ingest.parse_bars(bars, timedelta(minutes=bar_frequency_minutes),
-                                          asset=Asset(asset))
         for i, hit in enumerate(hits, start=1):
             try:
                 window = events_mod.extract_window(
@@ -279,7 +281,7 @@ def cmd_events(flows, asset, k, years, most_negative, bars, bar_frequency_minute
             except FlowcastError as exc:
                 logger.warning("skipping window %d (%s): %s", i, hit.timestamp, exc)
                 continue
-            flow_csv, price_csv = events_mod.window_track_csvs(window)
+            flow_csv, price_csv = events_mod.window_track_csvs(*window)
             _write(out_dir / f"window_{i:02d}_flows.csv", flow_csv)
             _write(out_dir / f"window_{i:02d}_prices.csv", price_csv)
     click.echo(f"wrote {len(hits)} events to {out_dir}")
@@ -290,11 +292,12 @@ def cmd_events(flows, asset, k, years, most_negative, bars, bar_frequency_minute
 @click.option("--options", "options_path", type=_in_path, required=True)
 @click.option("--asset", type=click.Choice([a.value for a in Asset]), default="ETH",
               show_default=True)
-@click.option("--pct", type=float, default=0.10, show_default=True)
+@click.option("--pct", type=click.FloatRange(0, 1, min_open=True), default=0.10,
+              show_default=True)
 @click.option("--legs", default="top,bottom", show_default=True)
 @click.option("--side", type=click.Choice([options.SIDE_SELL, options.SIDE_BUY]),
               default=options.SIDE_SELL, show_default=True)
-@click.option("--holding-hours", type=int, default=1, show_default=True)
+@click.option("--holding-hours", type=_positive, default=1, show_default=True)
 @click.option("--premium-rate", type=float, default=0.0003, show_default=True)
 @click.option("--hedge-rate", type=float, default=0.0005, show_default=True)
 @click.option("--half-spread", type=float, default=0.0005, show_default=True)

@@ -22,12 +22,14 @@ class EstimationError(FlowcastError):
 # --- ingestion ---------------------------------------------------------
 
 class MalformedRow(ValidationError):
+    """A faulty input record; ``line`` is its line number."""
+
     def __init__(self, line: int, message: str):
         self.line = line
         super().__init__(f"line {line}: {message}")
 
 
-class NegativeFlow(ValidationError):
+class NegativeFlow(MalformedRow):
     pass
 
 
@@ -35,7 +37,7 @@ class DuplicateTimestamp(ValidationError):
     pass
 
 
-class NonPositivePrice(ValidationError):
+class NonPositivePrice(MalformedRow):
     pass
 
 
@@ -43,11 +45,11 @@ class FrequencyMismatch(ValidationError):
     pass
 
 
-class ExpiredAtQuote(ValidationError):
+class ExpiredAtQuote(MalformedRow):
     pass
 
 
-class DeltaOutOfRange(ValidationError):
+class DeltaOutOfRange(MalformedRow):
     pass
 
 

@@ -1,9 +1,11 @@
 """Extreme net-inflow detection and case-study window extraction.
 
 Per UTC calendar year, the k largest hourly net inflows are flagged
-(rank 1 = largest; ties broken by earlier timestamp). The flagged hours
-can then be cut into plot-ready windows pairing the hourly net-inflow
-track with the hourly close-price track.
+(rank 1 = largest; ties broken by earlier timestamp). A flagged hour can
+then be cut into a plot-ready window: three arrays over the hours from
+``event - pre`` to ``event + post``, the hour's epoch second, its net
+inflow and the close of its last bar, which ``window_track_csvs`` writes
+as the flow and price track files.
 """
 
 from __future__ import annotations
@@ -29,15 +31,6 @@ class EventHit:
     net_inflow_musd: float
     year: int
     rank_in_year: int
-
-
-@dataclass
-class CaseWindow:
-    event: EventHit
-    pre: timedelta
-    post: timedelta
-    flow_track: list[tuple[datetime, float]]   # hourly net inflow, US$M
-    price_track: list[tuple[datetime, float]]  # hourly close, USD
 
 
 def threshold_percentile(k: int, observations: int) -> float:
@@ -91,21 +84,22 @@ def detect_extremes(series: NetInflowSeries, k: int,
 
 
 def _track(grid: np.ndarray, timestamps: np.ndarray, values: np.ndarray, offset: int,
-           missing: str) -> list[tuple[datetime, float]]:
-    """(t, the value stamped t + offset) for each grid hour t; the first hour
+           missing: str) -> np.ndarray:
+    """The value stamped t + offset for each grid hour t; the first hour
     without one raises InsufficientCoverage."""
     i = np.searchsorted(timestamps, grid + offset)
     found = i < len(timestamps)
     found[found] = timestamps[i[found]] == grid[found] + offset
     if not found.all():
         raise InsufficientCoverage(f"{missing} {format_timestamp(grid[np.argmin(found)])}")
-    return [(to_datetime(t), v) for t, v in zip(grid.tolist(), values[i].tolist())]
+    return values[i]
 
 
 def extract_window(event: EventHit, hourly: NetInflowSeries, bars: BarSeries,
-                   pre: timedelta, post: timedelta) -> CaseWindow:
-    """Cut the event asset's hourly net-inflow track and its close-price
-    track, spanning [event-pre, event+post]."""
+                   pre: timedelta, post: timedelta) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(hours, net_inflow_musd, close) over [event-pre, event+post]: each
+    hour's epoch second, the event asset's net inflow in it (US$M) and the
+    close of its last bar (USD)."""
     if pre < timedelta(0) or post < timedelta(0):
         raise InsufficientCoverage("pre and post must be non-negative")
     if hourly.asset != event.asset:
@@ -117,16 +111,14 @@ def extract_window(event: EventHit, hourly: NetInflowSeries, bars: BarSeries,
     grid = np.arange(t0 - int(pre.total_seconds()),
                      t0 + int(post.total_seconds()) + 1, 3600, dtype=np.int64)
 
-    flow_track = _track(grid, hourly.timestamps, hourly.values, 0, "no net inflow at")
+    net_inflow_musd = _track(grid, hourly.timestamps, hourly.values, 0, "no net inflow at")
 
     # Hourly close of the hour starting at t = close of the last bar in [t, t+1h).
     f_s = int(bars.frequency.total_seconds())
     if 3600 % f_s != 0:
         raise FrequencyMismatch(f"bar frequency {bars.frequency} does not divide 1h")
-    price_track = _track(grid, bars.timestamps, bars.close, 3600 - f_s,
-                         "no bar closing the hour at")
-    return CaseWindow(event=event, pre=pre, post=post,
-                      flow_track=flow_track, price_track=price_track)
+    close = _track(grid, bars.timestamps, bars.close, 3600 - f_s, "no bar closing the hour at")
+    return grid, net_inflow_musd, close
 
 
 def events_to_csv(hits: list[EventHit]) -> str:
@@ -136,12 +128,9 @@ def events_to_csv(hits: list[EventHit]) -> str:
         [h.rank_in_year for h in hits]))
 
 
-def _track_csv(name: str, track: list[tuple[datetime, float]]) -> str:
-    return write_table((("timestamp", TIMESTAMP), (name, NUMBER)),
-                       ([int(t.timestamp()) for t, _ in track], [v for _, v in track]))
-
-
-def window_track_csvs(window: CaseWindow) -> tuple[str, str]:
-    """(flow track CSV, price track CSV) for external plotting."""
-    return (_track_csv("net_inflow_musd", window.flow_track),
-            _track_csv("close", window.price_track))
+def window_track_csvs(hours: np.ndarray, net_inflow_musd: np.ndarray,
+                      close: np.ndarray) -> tuple[str, str]:
+    """(flow track CSV, price track CSV) of a window, for external plotting."""
+    return (write_table((("timestamp", TIMESTAMP), ("net_inflow_musd", NUMBER)),
+                        (hours, net_inflow_musd)),
+            write_table((("timestamp", TIMESTAMP), ("close", NUMBER)), (hours, close)))

@@ -256,13 +256,15 @@ INTEGER = Kind(None, "int64", lambda col: list(map(str, col.tolist())))  # writt
 
 
 class Schema(NamedTuple):
-    """An input file's columns, its row checks as ``(bad(values), error(lineno,
-    fields, values))`` pairs, where ``bad`` takes the columns or one row's
-    values, its ``key`` column indices (most significant first) and the
-    ``duplicate`` error for a repeated key."""
+    """An input file's columns, its row checks as ``(bad(values), error,
+    message(fields, values))`` triples, where ``bad`` takes the columns or one
+    row's values and a faulty record raises ``error(lineno, message)``, a
+    ``MalformedRow``; its ``key`` column indices (most significant first) and
+    the ``duplicate`` error for a repeated key."""
 
     columns: tuple[tuple[str, Kind], ...]
-    checks: tuple[tuple[Callable[[list], object], Callable[..., Exception]], ...]
+    checks: tuple[tuple[Callable[[list], object], type[MalformedRow],
+                        Callable[[Sequence[str], list], str]], ...]
     key: tuple[int, ...]
     duplicate: Callable[[str], Exception]
 
@@ -271,28 +273,28 @@ FLOWS = Schema(
     columns=(("timestamp", HOUR), ("asset", ASSET),
              ("inflow_usd", NUMBER), ("outflow_usd", NUMBER)),
     checks=((lambda v: (v[2] < 0) | (v[3] < 0),
-             lambda n, f, v: NegativeFlow(f"line {n}: negative flow ({f[2]}, {f[3]})")),),
+             NegativeFlow, lambda f, v: f"negative flow ({f[2]}, {f[3]})"),),
     key=(1, 0), duplicate=lambda key: DuplicateTimestamp(f"duplicate ({key})"))
 BARS = Schema(
     columns=(("timestamp", TIMESTAMP), ("open", NUMBER), ("high", NUMBER),
              ("low", NUMBER), ("close", NUMBER)),
     checks=((lambda v: (v[1] <= 0) | (v[2] <= 0) | (v[3] <= 0) | (v[4] <= 0),
-             lambda n, f, v: NonPositivePrice(f"line {n}: non-positive price")),
+             NonPositivePrice, lambda f, v: "non-positive price"),
             (lambda v: (v[3] > v[1]) | (v[3] > v[4]) | (v[2] < v[1]) | (v[2] < v[4]),
-             lambda n, f, v: MalformedRow(n, f"OHLC out of order ({', '.join(map(str, v[1:]))})"))),
+             MalformedRow, lambda f, v: f"OHLC out of order ({', '.join(map(str, v[1:]))})")),
     key=(0,), duplicate=lambda key: FrequencyMismatch(f"duplicate bar timestamp {key}"))
 OPTIONS = Schema(
     columns=(("quote_time", TIMESTAMP), ("strike", NUMBER), ("expiry", TIMESTAMP),
              ("option_price", NUMBER), ("index_price", NUMBER),
              ("implied_vol", NUMBER), ("delta", NUMBER)),
     checks=((lambda v: (v[1] <= 0) | (v[4] <= 0),
-             lambda n, f, v: MalformedRow(n, "strike and index_price must be positive")),
+             MalformedRow, lambda f, v: "strike and index_price must be positive"),
             (lambda v: (v[3] < 0) | (v[5] < 0),
-             lambda n, f, v: MalformedRow(n, "option_price and implied_vol must be >= 0")),
-            (lambda v: v[2] <= v[0], lambda n, f, v: ExpiredAtQuote(
-                f"line {n}: expiry {f[2]} at/before quote_time {f[0]}")),
-            (lambda v: (v[6] < 0) | (v[6] > 1), lambda n, f, v: DeltaOutOfRange(
-                f"line {n}: call delta {v[6]} outside [0, 1]"))),
+             MalformedRow, lambda f, v: "option_price and implied_vol must be >= 0"),
+            (lambda v: v[2] <= v[0],
+             ExpiredAtQuote, lambda f, v: f"expiry {f[2]} at/before quote_time {f[0]}"),
+            (lambda v: (v[6] < 0) | (v[6] > 1),
+             DeltaOutOfRange, lambda f, v: f"call delta {v[6]} outside [0, 1]")),
     key=(0, 1, 2), duplicate=lambda key: DuplicateTimestamp(f"duplicate quote ({key})"))
 
 
@@ -303,9 +305,9 @@ def check_row(schema: Schema, lineno: int, fields: Sequence[str]) -> list:
         values = [kind.parse(text, name) for (name, kind), text in zip(schema.columns, fields)]
     except ValueError as exc:
         raise MalformedRow(lineno, str(exc)) from None
-    for bad, error in schema.checks:
+    for bad, error, message in schema.checks:
         if bad(values):
-            raise error(lineno, fields, values)
+            raise error(lineno, message(fields, values))
     return values
 
 
@@ -362,7 +364,7 @@ def _load_canonical(data: bytes, schema: Schema) -> list[np.ndarray] | None:
             return None
         columns = [values for values, _ in converted]
         if np.logical_or.reduce([~took for _, took in converted]
-                                + [bad(columns) for bad, _ in schema.checks]).any():
+                                + [bad(columns) for bad, _, _ in schema.checks]).any():
             return None
     return columns
 

@@ -128,12 +128,11 @@ def trade_fields(p_entry, p_exit, index_entry, index_exit, delta, side: str,
 
 
 def trade(entry: OptionQuote, exit: OptionQuote, side: str,
-          delta_hedge: float | None = None,
           costs: CostParams | None = None) -> TradeOutcome:
-    """Account one round trip between two quotes of the same instrument.
+    """Account one round trip between two quotes of the same instrument,
+    hedged at the entry quote's delta.
 
-    ``delta_hedge`` defaults to the entry quote's delta. ``costs`` default
-    to zero, in which case the net fields equal the gross ones.
+    ``costs`` default to zero, in which case the net fields equal the gross ones.
     """
     if entry.instrument != exit.instrument:
         raise InstrumentMismatch(
@@ -143,10 +142,9 @@ def trade(entry: OptionQuote, exit: OptionQuote, side: str,
     p_entry = call_price(entry)
     if p_entry <= 0:
         raise ZeroEntryPrice("entry call price must be positive")
-    delta = entry.delta if delta_hedge is None else delta_hedge
     fields = trade_fields(p_entry, call_price(exit), entry.index_price, exit.index_price,
-                          delta, side, ZERO_COSTS if costs is None else costs)
-    return TradeOutcome(entry=entry, exit=exit, side=side, delta_hedge=delta,
+                          entry.delta, side, ZERO_COSTS if costs is None else costs)
+    return TradeOutcome(entry=entry, exit=exit, side=side, delta_hedge=entry.delta,
                         win=fields["r_portfolio_net"] > 0, **fields)
 
 
@@ -173,14 +171,12 @@ class BucketKey:
     """Conjunctive trade filters for one report row.
 
     ``leg``/``pct`` label which percentile selection the trades came from;
-    IV bounds are closed below and open above; the OTM interval is
-    half-open [otm_lo, otm_hi).
+    the IV floor is closed; the OTM interval is half-open [otm_lo, otm_hi).
     """
 
     leg: str
     pct: float
     iv_min: float | None = None
-    iv_max: float | None = None
     otm_lo: float | None = None
     otm_hi: float | None = None
 
@@ -189,7 +185,6 @@ class BucketKey:
         the bucket; a NaN falls in no bounded interval."""
         mask = np.ones(len(implied_vol), dtype=bool)
         for values, bound, inside in ((implied_vol, self.iv_min, np.greater_equal),
-                                      (implied_vol, self.iv_max, np.less),
                                       (moneyness, self.otm_lo, np.greater_equal),
                                       (moneyness, self.otm_hi, np.less)):
             if bound is not None:
@@ -200,8 +195,6 @@ class BucketKey:
         parts = [f"{self.leg}{format_number(self.pct * 100).rstrip('0').rstrip('.')}%"]
         if self.iv_min is not None:
             parts.append(f"iv>={format_number(self.iv_min)}")
-        if self.iv_max is not None:
-            parts.append(f"iv<{format_number(self.iv_max)}")
         if self.otm_lo is not None or self.otm_hi is not None:
             lo = "" if self.otm_lo is None else f"{self.otm_lo * 100:g}%<="
             hi = "" if self.otm_hi is None else f"<{self.otm_hi * 100:g}%"

@@ -95,11 +95,6 @@ def design_matrix(sample: AlignedSample) -> tuple[np.ndarray, np.ndarray]:
     return X, np.asarray(sample.response, dtype=np.float64)
 
 
-def default_hac_lags(n: int) -> int:
-    """Common Newey-West truncation rule: floor(4 (n/100)^(2/9))."""
-    return int(math.floor(4.0 * (n / 100.0) ** (2.0 / 9.0)))
-
-
 def _newey_west_cov(X: np.ndarray, resid: np.ndarray, lags: int) -> np.ndarray:
     xe = X * resid[:, None]
     S = xe.T @ xe
@@ -212,7 +207,7 @@ def _fit_cell(predictor: NetInflowSeries, response: ReturnSeries | VolSeries,
               pair: tuple[Asset, Asset], target: str, horizon: timedelta, model: str,
               min_obs: int, hac_lags: int | None) -> HeatmapCell:
     control = response if model == MODEL_DOUBLE else None
-    sample = align(predictor, response, control=control, horizon=horizon)
+    sample = align(predictor, response, control=control)
     k = 2 if model == MODEL_DOUBLE else 1
     if sample.n < max(min_obs, k + 2):
         raise TooFewObservations(f"n={sample.n} below minimum {max(min_obs, k + 2)}")

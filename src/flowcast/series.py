@@ -209,9 +209,9 @@ def realized_vol(bars: BarSeries, horizon: timedelta) -> VolSeries:
 
 
 def align(predictor: NetInflowSeries, response: ReturnSeries | VolSeries,
-          control: _HorizonSeries | None = None,
-          horizon: timedelta | None = None) -> AlignedSample:
-    """Pair predictor(t) (and control(t)) with response(t + horizon).
+          control: _HorizonSeries | None = None) -> AlignedSample:
+    """Pair predictor(t) (and control(t)) with response(t + horizon), at the
+    predictor's horizon, which the other series must share.
 
     Only timestamps where all requested points exist survive; the response
     therefore never precedes its predictor. Series pair by bucket index
@@ -222,8 +222,7 @@ def align(predictor: NetInflowSeries, response: ReturnSeries | VolSeries,
     calls only slice the grids over their overlap, AND the masks and gather.
     A series must not be mutated after its first ``align``.
     """
-    if horizon is None:
-        horizon = predictor.horizon
+    horizon = predictor.horizon
     pieces = [predictor, response] + ([control] if control is not None else [])
     for s in pieces:
         if s.horizon != horizon:

@@ -253,8 +253,6 @@ def bucket_matches(key, t):
     iv = t.entry.implied_vol
     if key.iv_min is not None and not iv >= key.iv_min:
         return False
-    if key.iv_max is not None and not iv < key.iv_max:
-        return False
     if key.otm_lo is not None or key.otm_hi is not None:
         m = (t.entry.strike - t.entry.index_price) / t.entry.index_price
         if key.otm_lo is not None and not m >= key.otm_lo:
@@ -374,11 +372,10 @@ def reference_read_table(path, schema):
     return columns
 
 
-def reference_align(predictor, response, control=None, horizon=None):
+def reference_align(predictor, response, control=None):
     """Pair predictor(t) (and control(t)) with response(t + horizon) by
     intersecting the timestamps and looking each one up by binary search."""
-    if horizon is None:
-        horizon = predictor.horizon
+    horizon = predictor.horizon
     pieces = [predictor, response] + ([control] if control is not None else [])
     for s in pieces:
         if s.horizon != horizon:

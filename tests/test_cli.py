@@ -379,6 +379,30 @@ def test_synth_rejects_a_bad_flag_before_drawing(tmp_path, capsys, monkeypatch, 
     assert not out.exists()
 
 
+def _argv(dataset, command, flows, flags, out):
+    """``command`` on ``flows`` and the dataset's other inputs, with ``flags``."""
+    inputs = {"ingest-check": ["--bars", str(dataset / "bars_eth.csv")],
+              "regress": ["--bars-eth", str(dataset / "bars_eth.csv"),
+                          "--bars-btc", str(dataset / "bars_btc.csv")],
+              "events": ["--bars", str(dataset / "bars_eth.csv")],
+              "backtest": ["--options", str(dataset / "options.csv")]}[command]
+    out_flag = [] if command == "ingest-check" else ["--out", str(out)]
+    return [command, "--flows", str(flows), *inputs, *flags, *out_flag]
+
+
+# Numeric flags out of range: refused while the flags are parsed.
+NUMERIC_FLAG_ERRORS = [
+    ("events", ["--k", "0"], 2, "'--k': 0 is not in the range x>=1"),
+    ("backtest", ["--pct", "0"], 2, "'--pct': 0.0 is not in the range 0<x<=1"),
+    ("backtest", ["--pct", "1.5"], 2, "'--pct': 1.5 is not in the range 0<x<=1"),
+    ("backtest", ["--holding-hours", "0"], 2, "'--holding-hours': 0 is not in the range x>=1"),
+] + [(command, ["--bar-frequency-minutes", "0"], 2,
+      "'--bar-frequency-minutes': 0 is not in the range x>=1")
+     for command in ("ingest-check", "regress", "events")]
+NUMERIC_FLAG_IDS = ["k-zero", "pct-zero", "pct-above-one", "holding-zero",
+                    "ingest-check-frequency", "regress-frequency", "events-frequency"]
+
+
 @pytest.mark.parametrize("command,flags,code,message", [
     ("regress", ["--horizons", "0"], 2, "bad horizon list '0'"),
     ("regress", ["--horizons", "1,-1"], 2, "bad horizon list '1,-1'"),
@@ -398,18 +422,14 @@ def test_synth_rejects_a_bad_flag_before_drawing(tmp_path, capsys, monkeypatch, 
     ("events", ["--years", ","], 2, "bad year list ','"),
     ("backtest", ["--legs", "middle"], 2, "bad leg 'middle'; allowed: top, bottom"),
     ("backtest", ["--help"], 0, "Percentile-triggered call backtest"),
-], ids=["horizon-zero", "horizon-negative", "horizon-fraction", "no-horizons", "hac-lags",
-        "pair", "no-pairs", "target", "model", "no-models", "window-pre", "window-post",
-        "years", "no-years", "leg", "help"])
+] + NUMERIC_FLAG_ERRORS, ids=["horizon-zero", "horizon-negative", "horizon-fraction",
+                              "no-horizons", "hac-lags", "pair", "no-pairs", "target", "model",
+                              "no-models", "window-pre", "window-post", "years", "no-years",
+                              "leg", "help"] + NUMERIC_FLAG_IDS)
 def test_flag_errors_exit_2_and_help_exits_0(dataset, tmp_path, capsys, command, flags,
                                              code, message):
-    inputs = {"regress": ["--bars-eth", str(dataset / "bars_eth.csv"),
-                          "--bars-btc", str(dataset / "bars_btc.csv")],
-              "events": ["--bars", str(dataset / "bars_eth.csv")],
-              "backtest": ["--options", str(dataset / "options.csv")]}[command]
     out = tmp_path / "o"
-    argv = [command, "--flows", str(dataset / "flows.csv"), *inputs, *flags, "--out", str(out)]
-    assert main(argv) == code
+    assert main(_argv(dataset, command, dataset / "flows.csv", flags, out)) == code
     captured = capsys.readouterr()
     assert message in (captured.out if code == 0 else captured.err)
     assert not out.exists()
@@ -422,6 +442,28 @@ def test_bad_list_flag_is_refused_before_any_input_is_read(dataset, tmp_path, ca
             "--pairs", "USDT:ETH", "--models", "triple", "--out", str(tmp_path / "o")]
     assert main(argv) == 2
     assert "bad model 'triple'; allowed: single, double" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,flags,code,message", NUMERIC_FLAG_ERRORS,
+                         ids=NUMERIC_FLAG_IDS)
+def test_bad_numeric_flag_is_refused_before_any_input_is_read(dataset, tmp_path, capsys,
+                                                              command, flags, code, message):
+    flows = tmp_path / "flows.csv"
+    flows.write_text("timestamp,asset,inflow_usd,outflow_usd\nnot,a,valid,row\n")
+    assert main(_argv(dataset, command, flows, flags, tmp_path / "o")) == code
+    assert message in capsys.readouterr().err
+
+
+def test_events_checks_the_bars_before_writing(dataset, tmp_path, capsys):
+    # 7 minutes is off the grid of the dataset's 5-minute bars.
+    out = tmp_path / "o"
+    argv = ["events", "--flows", str(dataset / "flows.csv"), "--bars",
+            str(dataset / "bars_eth.csv"), "--bar-frequency-minutes", "7", "--out", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "off the 0:07:00 grid" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flag,data,reason", [

@@ -131,22 +131,25 @@ def _event_and_data(rng, hours=24 * 10):
 
 def test_window_span(rng):
     hit, series, bars = _event_and_data(rng)
-    window = extract_window(hit, series, bars, pre=timedelta(days=3),
-                            post=timedelta(days=2))
-    t0 = hit.timestamp
-    assert window.flow_track[0][0] == t0 - timedelta(days=3)
-    assert window.flow_track[-1][0] == t0 + timedelta(days=2)
-    assert len(window.flow_track) == 121  # inclusive hourly span
-    assert len(window.price_track) == 121
-    assert window.price_track[0][1] > 0
+    hours, net, close = extract_window(hit, series, bars, pre=timedelta(days=3),
+                                       post=timedelta(days=2))
+    t0 = int(hit.timestamp.timestamp())
+    assert hours[0] == t0 - 3 * 86400
+    assert hours[-1] == t0 + 2 * 86400
+    assert (np.diff(hours) == 3600).all()
+    assert len(hours) == len(net) == len(close) == 121  # inclusive hourly span
+    assert (close > 0).all()
+    # Hourly bars: the hour starting at t closes with the bar stamped t.
+    assert close.tolist() == bars.close[np.searchsorted(bars.timestamps, hours)].tolist()
+    assert net.tolist() == series.values[np.searchsorted(series.timestamps, hours)].tolist()
 
 
 def test_window_single_point(rng):
     hit, series, bars = _event_and_data(rng)
-    window = extract_window(hit, series, bars, pre=timedelta(0), post=timedelta(0))
-    assert len(window.flow_track) == 1
-    assert window.flow_track[0][0] == hit.timestamp
-    assert window.flow_track[0][1] == pytest.approx(hit.net_inflow_musd)
+    hours, net, close = extract_window(hit, series, bars, pre=timedelta(0), post=timedelta(0))
+    assert hours.tolist() == [int(hit.timestamp.timestamp())]
+    assert net.tolist() == [hit.net_inflow_musd]
+    assert len(close) == 1
 
 
 def test_window_insufficient_coverage(rng):
@@ -177,7 +180,7 @@ def test_window_track_csvs(rng):
     hit, series, bars = _event_and_data(rng)
     window = extract_window(hit, series, bars, pre=timedelta(hours=2),
                             post=timedelta(hours=1))
-    flow_csv, price_csv = window_track_csvs(window)
+    flow_csv, price_csv = window_track_csvs(*window)
     assert flow_csv.startswith("timestamp,net_inflow_musd\n")
     assert price_csv.startswith("timestamp,close\n")
     assert len(flow_csv.strip().split("\n")) == 5

@@ -16,7 +16,6 @@ from flowcast.regress import (
     MODEL_SINGLE,
     MarketData,
     daily_weekly_grid,
-    default_hac_lags,
     design_matrix,
     grid_from_json,
     grid_to_json,
@@ -127,7 +126,6 @@ def test_hac_matches_double_loop_oracle(rng):
     resid = yy - X @ np.array(beta_ref)
     cov_ref = oracles.newey_west_reference(X, resid, lags)
     np.testing.assert_allclose(fit.se, np.sqrt(np.diag(cov_ref)), rtol=1e-9)
-    assert default_hac_lags(100) == 4
 
 
 def _fit_bytes(fit):
