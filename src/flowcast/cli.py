@@ -12,6 +12,7 @@ rewrites identical bytes.
 from __future__ import annotations
 
 import logging
+import math
 import os
 import sys
 from datetime import timedelta
@@ -133,8 +134,20 @@ class _InputFile(click.Path):
         return path
 
 
+class _FiniteRange(click.FloatRange):
+    """A float flag in a range that is also finite: NaN passes every range
+    comparison, and a range with no upper end takes inf."""
+
+    def convert(self, value, param, ctx):
+        number = super().convert(value, param, ctx)
+        if not math.isfinite(number):
+            self.fail(f"{number} is not a finite number.", param, ctx)
+        return number
+
+
 _in_path = _InputFile(dir_okay=False)
 _positive = click.IntRange(min=1)
+_rate = _FiniteRange(min=0)
 _out_dir = click.Path(file_okay=False)
 
 
@@ -292,16 +305,16 @@ def cmd_events(flows, asset, k, years, most_negative, bars, bar_frequency_minute
 @click.option("--options", "options_path", type=_in_path, required=True)
 @click.option("--asset", type=click.Choice([a.value for a in Asset]), default="ETH",
               show_default=True)
-@click.option("--pct", type=click.FloatRange(0, 1, min_open=True), default=0.10,
+@click.option("--pct", type=_FiniteRange(0, 1, min_open=True), default=0.10,
               show_default=True)
 @click.option("--legs", default="top,bottom", show_default=True)
 @click.option("--side", type=click.Choice([options.SIDE_SELL, options.SIDE_BUY]),
               default=options.SIDE_SELL, show_default=True)
 @click.option("--holding-hours", type=_positive, default=1, show_default=True)
-@click.option("--premium-rate", type=float, default=0.0003, show_default=True)
-@click.option("--hedge-rate", type=float, default=0.0005, show_default=True)
-@click.option("--half-spread", type=float, default=0.0005, show_default=True)
-@click.option("--slippage", type=float, default=0.0, show_default=True)
+@click.option("--premium-rate", type=_rate, default=0.0003, show_default=True)
+@click.option("--hedge-rate", type=_rate, default=0.0005, show_default=True)
+@click.option("--half-spread", type=_rate, default=0.0005, show_default=True)
+@click.option("--slippage", type=_rate, default=0.0, show_default=True)
 @click.option("--wtl-mode", type=click.Choice([options.WTL_COUNTS, options.WTL_PNL]),
               default=options.WTL_COUNTS, show_default=True)
 @click.option("--out", type=_out_dir, required=True)

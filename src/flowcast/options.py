@@ -60,6 +60,17 @@ class CostParams:
     half_spread: float = 0.0005   # half of a 0.1% bid-ask spread
     slippage: float = 0.0
 
+    def __post_init__(self):
+        for name in ("premium_rate", "hedge_rate", "half_spread", "slippage"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise InvalidConfig(f"{name} must be finite, got {value}")
+            # Slippage alone may be negative: breakeven_slippage returns a
+            # negative one for a trade whose gross PnL is below its other
+            # costs, and net_pnl is evaluated there.
+            if value < 0 and name != "slippage":
+                raise InvalidConfig(f"{name} must be >= 0, got {value}")
+
     def rate(self, delta: float) -> float:
         return (self.premium_rate + self.hedge_rate * delta
                 + self.half_spread + self.slippage)

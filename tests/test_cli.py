@@ -136,7 +136,7 @@ def _scipy_modules_after(code):
              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True, timeout=60).stdout
-    return ast.literal_eval(out)
+    return ast.literal_eval(out.splitlines()[-1])  # after what ``code`` prints
 
 
 def test_import_loads_no_scipy():
@@ -159,6 +159,21 @@ def test_synth_loads_scipy_special_alone():
     # Besides scipy.special, only scipy's private helpers and its version module.
     public = {m.split(".")[1] for m in loaded if "." in m and not m.split(".")[1].startswith("_")}
     assert public == {"special", "version"}
+
+
+def test_regress_loads_no_scipy(dataset, tmp_path):
+    # Stars take scipy's p only within a relative 1e-6 of a star level, where
+    # none of these cells' p-values is.
+    out = tmp_path / "grid"
+    argv = ["regress", "--flows", str(dataset / "flows.csv"),
+            "--bars-eth", str(dataset / "bars_eth.csv"),
+            "--bars-btc", str(dataset / "bars_btc.csv"), "--daily-weekly", "--out", str(out)]
+    assert _scipy_modules_after(f"assert flowcast.cli.main({argv!r}) == 0") == []
+    assert any(cell["stars"] for cell in json.loads((out / "grid.json").read_text()))
+    grid = ("from flowcast import regress, synth\n"
+            "cells = regress.run_grid(synth.gen_market(1, 1200))\n"
+            "assert any(cell.stars for cell in cells)")
+    assert _scipy_modules_after(grid) == []
 
 
 def test_every_public_name_resolves():
@@ -396,10 +411,19 @@ NUMERIC_FLAG_ERRORS = [
     ("backtest", ["--pct", "0"], 2, "'--pct': 0.0 is not in the range 0<x<=1"),
     ("backtest", ["--pct", "1.5"], 2, "'--pct': 1.5 is not in the range 0<x<=1"),
     ("backtest", ["--holding-hours", "0"], 2, "'--holding-hours': 0 is not in the range x>=1"),
+    ("backtest", ["--pct", "nan"], 2, "'--pct': nan is not a finite number."),
+    ("backtest", ["--slippage", "nan"], 2, "'--slippage': nan is not a finite number."),
+    ("backtest", ["--half-spread", "inf"], 2, "'--half-spread': inf is not a finite number."),
+    ("backtest", ["--premium-rate", "-1"], 2,
+     "'--premium-rate': -1.0 is not in the range x>=0."),
+    ("backtest", ["--hedge-rate", "-inf"], 2,
+     "'--hedge-rate': -inf is not in the range x>=0."),
 ] + [(command, ["--bar-frequency-minutes", "0"], 2,
       "'--bar-frequency-minutes': 0 is not in the range x>=1")
      for command in ("ingest-check", "regress", "events")]
-NUMERIC_FLAG_IDS = ["k-zero", "pct-zero", "pct-above-one", "holding-zero",
+NUMERIC_FLAG_IDS = ["k-zero", "pct-zero", "pct-above-one", "holding-zero", "pct-nan",
+                    "slippage-nan", "half-spread-inf", "premium-rate-negative",
+                    "hedge-rate-negative-inf",
                     "ingest-check-frequency", "regress-frequency", "events-frequency"]
 
 

@@ -209,6 +209,18 @@ def test_breakeven_absorbs_pnl_exactly():
     assert breakeven_slippage(t, CostParams()) == pytest.approx(0.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("field", ["premium_rate", "hedge_rate", "half_spread", "slippage"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), -1e-9])
+def test_cost_params_refuse_non_finite_or_negative_rates(field, value):
+    if field == "slippage" and value == -1e-9:
+        # breakeven_slippage's root is negative for a trade that loses before
+        # slippage, and net_pnl is evaluated there.
+        assert CostParams(slippage=value).slippage == value
+        return
+    with pytest.raises(errors.InvalidConfig, match=field):
+        CostParams(**{field: value})
+
+
 def test_breakeven_is_exact_root(rng):
     for _ in range(200):
         t = _round_trip(delta=float(rng.uniform(0, 1)),

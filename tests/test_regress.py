@@ -1,3 +1,4 @@
+import math
 from datetime import timedelta
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
+from scipy.special import erfcinv, stdtrit
 
 import oracles
 from conftest import T0
@@ -208,6 +210,103 @@ def test_significance_infinite_t():
 def test_two_sided_p_is_bit_identical_to_scipy_t_sf(t, df):
     expected = 2.0 * float(stats.t.sf(abs(t), df))
     assert two_sided_p(t, df).hex() == expected.hex()
+
+
+STAR_LEVELS = tuple(level for level, _ in regress._STAR_LEVELS)
+
+
+def _scipy_stars(t, df):
+    """The stars of scipy's p, by the strict rule ``significance`` keeps."""
+    p = two_sided_p(t, df)
+    return next((stars for level, stars in regress._STAR_LEVELS if p < level), "")
+
+
+def _crossing_t(df, level):
+    """The smallest positive t whose scipy p is below ``level``, by bisection
+    over the floats around ``stdtrit``'s critical value."""
+    tc = -float(stdtrit(df, level / 2))
+    lo, hi = tc * 0.999, tc * 1.001
+    assert two_sided_p(lo, df) >= level > two_sided_p(hi, df)
+    while (mid := lo + (hi - lo) / 2) not in (lo, hi):
+        if two_sided_p(mid, df) >= level:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+@settings(max_examples=600, deadline=None)
+@given(df=st.one_of(st.integers(1, 300), st.integers(1, 10**7)),
+       level=st.sampled_from(STAR_LEVELS), rel=st.floats(-1e-3, 1e-3),
+       sign=st.sampled_from((1.0, -1.0)))
+@example(df=1, level=0.10, rel=0.0, sign=1.0)
+@example(df=50, level=0.01, rel=0.0, sign=-1.0)
+@example(df=9_999_811, level=0.10, rel=0.0, sign=1.0)  # lgamma difference off by 2e-8
+@example(df=10**7, level=0.05, rel=1e-9, sign=-1.0)
+@example(df=10**7, level=0.01, rel=-1e-4, sign=1.0)
+def test_pure_p_tracks_scipy_near_each_star_level(df, level, rel, sign):
+    t = sign * -float(stdtrit(df, level / 2)) * (1.0 + rel)
+    want = two_sided_p(t, df)
+    assert abs(regress._pure_two_sided_p(t, df) - want) <= want * regress._P_BAND / 100
+    assert significance(t, df + 2, 1) == _scipy_stars(t, df)
+    # The normal screen's premise: the normal tail lies below the t tail.
+    assert math.erfc(abs(t) / math.sqrt(2.0)) < want * (1.0 + regress._P_BAND)
+
+
+@pytest.mark.parametrize("df", [1, 2, 7, 30, 49, 50, 51, 120, 1000, 40_000, 10**5, 10**6,
+                                10**7, 10**7 + 1, 10**12])
+@pytest.mark.parametrize("level", STAR_LEVELS)
+def test_significance_equals_scipy_stars_ulps_around_each_crossing(df, level):
+    tc = _crossing_t(df, level)
+    ts = [tc]
+    lo = hi = tc
+    for _ in range(6):
+        lo, hi = math.nextafter(lo, 0.0), math.nextafter(hi, math.inf)
+        ts += [lo, hi]
+    want = [_scipy_stars(t, df) for t in ts]
+    assert len(set(want)) == 2
+    assert [significance(t, df + 2, 1) for t in ts] == want
+    assert [significance(-t, df + 2, 1) for t in ts] == want
+
+
+@pytest.mark.parametrize("t,n,expected", [
+    (math.nan, 100, ""),
+    (math.inf, 100, "***"),
+    (-math.inf, 3, "***"),
+    (0.0, 1000, ""),
+    (-0.0, 3, ""),
+    (5e-324, 3, ""),
+    (1e300, 3, "***"),
+    (-1e300, 10**7, "***"),
+    (6.3, 3, ""),        # df 1: p ~ 0.1002
+    (6.4, 3, "*"),       # df 1: p ~ 0.0989
+    (12.8, 3, "**"),     # df 1: p ~ 0.0496
+    (63.7, 3, "***"),    # df 1: p ~ 0.00999
+], ids=["nan", "inf", "-inf-df1", "zero", "-zero-df1", "subnormal", "huge-df1",
+        "-huge-df1e7", "df1-6.3", "df1-6.4", "df1-12.8", "df1-63.7"])
+def test_significance_edge_cases(t, n, expected):
+    assert significance(t, n, 1) == _scipy_stars(t, n - 2) == expected
+
+
+@pytest.mark.parametrize("t", [1.0, math.nan, math.inf])
+def test_significance_needs_a_degree_of_freedom(t):
+    with pytest.raises(errors.TooFewObservations, match="got 0"):
+        significance(t, 2, 1)
+
+
+def test_normal_screen_keeps_its_rounding_margin(monkeypatch):
+    # A t whose normal tail is just above 10% is not screened out: rounding in
+    # erfc or in scipy's p could still put its t tail below 10%.
+    t = math.sqrt(2.0) * float(erfcinv(0.10 * (1.0 + regress._P_BAND / 2)))
+    assert 0.10 < math.erfc(t / math.sqrt(2.0)) < 0.10 * (1.0 + regress._P_BAND)
+    monkeypatch.setattr(regress, "_pure_two_sided_p", lambda t, df: 0.0)
+    assert significance(t, 10**6, 1) == "***"
+
+
+def test_unconverged_pure_p_goes_to_scipy(monkeypatch):
+    monkeypatch.setattr(regress, "_pure_two_sided_p", lambda t, df: math.nan)
+    for t, df in ((2.0, 500), (2.7, 500), (1.7, 500), (1e3, 1)):
+        assert significance(t, df + 2, 1) == _scipy_stars(t, df)
 
 
 def test_sign_classification_rules():
