@@ -7,6 +7,10 @@ records a cell it cannot estimate in the grid and still exits 0.
 flags or an optional ``key=value`` config file (flags win on conflict).
 Outputs are deterministic: re-running a command on identical inputs
 rewrites identical bytes.
+
+Each flag is checked by its click type before any input is read: a list
+flag reaches its command as a typed list, and an hour or minute flag is at
+most the longest ``timedelta``. ``synth``'s configs check its values.
 """
 
 from __future__ import annotations
@@ -37,56 +41,6 @@ EXIT_VALIDATION = 2
 def _write(path: Path, text: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
-
-
-def _parse_hours_list(ctx, param, text: str) -> list[timedelta]:
-    """The ``--horizons`` callback: a list of positive whole hours."""
-    try:
-        hours = [int(h) for h in text.split(",") if h.strip()]
-        if not hours or min(hours) <= 0:
-            raise ValueError
-    except ValueError:
-        raise click.UsageError(f"bad horizon list {text!r}; expected e.g. '1,2,3,4,6'")
-    return [timedelta(hours=h) for h in hours]
-
-
-def _parse_years(ctx, param, text: str | None) -> set[int] | None:
-    """The ``--years`` callback: a list of years, or None for all of them."""
-    if text is None:
-        return None
-    try:
-        years = {int(y) for y in text.split(",") if y.strip()}
-        if not years:
-            raise ValueError
-    except ValueError:
-        raise click.UsageError(f"bad year list {text!r}")
-    return years
-
-
-def _parse_pairs(text: str) -> list[tuple[Asset, Asset]]:
-    pairs = []
-    for item in text.split(","):
-        item = item.strip()
-        if not item:
-            continue
-        try:
-            pred, resp = item.split(":")
-            pairs.append((Asset(pred.strip()), Asset(resp.strip())))
-        except ValueError:
-            raise click.UsageError(f"bad pair {item!r}; expected e.g. 'USDT:ETH'")
-    if not pairs:
-        raise click.UsageError("no pairs given")
-    return pairs
-
-
-def _parse_list(text: str, allowed: tuple[str, ...], what: str) -> list[str]:
-    out = [item.strip() for item in text.split(",") if item.strip()]
-    for item in out:
-        if item not in allowed:
-            raise click.UsageError(f"bad {what} {item!r}; allowed: {', '.join(allowed)}")
-    if not out:
-        raise click.UsageError(f"no {what} given")
-    return out
 
 
 def _read_text(path: str) -> str:
@@ -145,8 +99,58 @@ class _FiniteRange(click.FloatRange):
         return number
 
 
+class _CommaList(click.ParamType):
+    """A comma-separated list flag: blank items are dropped, and an empty
+    list or an item that ``parse`` refuses with ValueError exits 2 while the
+    flags are parsed."""
+
+    name = "list"
+
+    def __init__(self, item: str, parse, hint: str):
+        self.item, self.parse, self.hint = item, parse, hint
+
+    def convert(self, value, param, ctx):
+        items = [part.strip() for part in value.split(",") if part.strip()]
+        if not items:
+            self.fail(f"no {param.name} given", param, ctx)
+        out = []
+        for text in items:
+            try:
+                out.append(self.parse(text))
+            except ValueError:
+                self.fail(f"bad {self.item} {text!r}; {self.hint}", param, ctx)
+        return out
+
+
+# The longest spans a timedelta holds, in the units of the duration flags.
+_MAX_HOURS = timedelta.max // timedelta(hours=1)
+_MAX_MINUTES = timedelta.max // timedelta(minutes=1)
+
+
+def _horizon(text: str) -> timedelta:
+    hours = int(text)
+    if not 1 <= hours <= _MAX_HOURS:
+        raise ValueError(text)
+    return timedelta(hours=hours)
+
+
+def _pair(text: str) -> tuple[Asset, Asset]:
+    pred, resp = text.split(":")
+    return Asset(pred.strip()), Asset(resp.strip())
+
+
+def _choices(item: str, allowed: tuple[str, ...]) -> _CommaList:
+    def parse(text: str) -> str:
+        if text not in allowed:
+            raise ValueError(text)
+        return text
+    return _CommaList(item, parse, f"allowed: {', '.join(allowed)}")
+
+
 _in_path = _InputFile(dir_okay=False)
-_positive = click.IntRange(min=1)
+_minutes = click.IntRange(1, _MAX_MINUTES)
+_hours = click.IntRange(1, _MAX_HOURS)
+_window_hours = click.IntRange(0, _MAX_HOURS)
 _rate = _FiniteRange(min=0)
 _out_dir = click.Path(file_okay=False)
 
@@ -176,7 +180,7 @@ def _load_market(flows_path: str, bars_paths: dict[Asset, str],
 @cli.command("ingest-check")
 @click.option("--flows", type=_in_path, default=None)
 @click.option("--bars", type=_in_path, default=None)
-@click.option("--bar-frequency-minutes", type=_positive, default=5, show_default=True)
+@click.option("--bar-frequency-minutes", type=_minutes, default=5, show_default=True)
 @click.option("--options", "options_path", type=_in_path, default=None)
 def ingest_check(flows, bars, bar_frequency_minutes, options_path):
     """Parse and validate input CSVs, printing a summary per file."""
@@ -202,12 +206,16 @@ def ingest_check(flows, bars, bar_frequency_minutes, options_path):
 @click.option("--flows", type=_in_path, required=True)
 @click.option("--bars-eth", type=_in_path, default=None)
 @click.option("--bars-btc", type=_in_path, default=None)
-@click.option("--bar-frequency-minutes", type=_positive, default=5, show_default=True)
-@click.option("--horizons", default="1,2,3,4,6", show_default=True,
-              callback=_parse_hours_list)
-@click.option("--pairs", default="USDT:ETH,ETH:ETH,USDT:BTC,BTC:BTC", show_default=True)
-@click.option("--targets", default="return,volatility", show_default=True)
-@click.option("--models", default="single,double", show_default=True)
+@click.option("--bar-frequency-minutes", type=_minutes, default=5, show_default=True)
+@click.option("--horizons", type=_CommaList("horizon", _horizon,
+                                             f"expected whole hours in 1..{_MAX_HOURS}"),
+              default="1,2,3,4,6", show_default=True)
+@click.option("--pairs", type=_CommaList("pair", _pair, "expected e.g. 'USDT:ETH'"),
+              default="USDT:ETH,ETH:ETH,USDT:BTC,BTC:BTC", show_default=True)
+@click.option("--targets", type=_choices("target", regress.TARGETS),
+              default="return,volatility", show_default=True)
+@click.option("--models", type=_choices("model", regress.MODELS),
+              default="single,double", show_default=True)
 @click.option("--daily-weekly", is_flag=True,
               help="Also write the 24h/168h volatility grid.")
 @click.option("--hac-lags", type=click.IntRange(min=0), default=None,
@@ -217,23 +225,14 @@ def ingest_check(flows, bars, bar_frequency_minutes, options_path):
 def cmd_regress(flows, bars_eth, bars_btc, bar_frequency_minutes, horizons, pairs,
                 targets, models, daily_weekly, hac_lags, min_obs, out):
     """Run the predictive-regression grid and write heatmap JSON + TSV."""
-    pair_list = _parse_pairs(pairs)
-    target_list = _parse_list(targets, regress.TARGETS, "target")
-    model_list = _parse_list(models, regress.MODELS, "model")
-    bars_paths = {}
-    if bars_eth:
-        bars_paths[Asset.ETH] = bars_eth
-    if bars_btc:
-        bars_paths[Asset.BTC] = bars_btc
-    needed = {resp for _, resp in pair_list}
-    missing = sorted(a.value for a in needed if a not in bars_paths)
+    bars_paths = {a: p for a, p in ((Asset.ETH, bars_eth), (Asset.BTC, bars_btc)) if p}
+    missing = sorted({resp.value for _, resp in pairs if resp not in bars_paths})
     if missing:
         raise ValidationError(f"no bars supplied for response asset(s): {', '.join(missing)}")
 
     data = _load_market(flows, bars_paths, timedelta(minutes=bar_frequency_minutes))
-    cells = regress.run_grid(
-        data, horizons=horizons, pairs=pair_list, targets=target_list, models=model_list,
-        min_obs=min_obs, hac_lags=hac_lags)
+    cells = regress.run_grid(data, horizons=horizons, pairs=pairs, targets=targets,
+                             models=models, min_obs=min_obs, hac_lags=hac_lags)
 
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -243,8 +242,7 @@ def cmd_regress(flows, bars_eth, bars_btc, bar_frequency_minutes, horizons, pair
     click.echo(f"wrote {len(cells)} cells ({failed} failed) to {out_dir}")
 
     if daily_weekly:
-        dw = regress.daily_weekly_grid(data, pairs=pair_list, min_obs=min_obs,
-                                       hac_lags=hac_lags)
+        dw = regress.daily_weekly_grid(data, pairs=pairs, min_obs=min_obs, hac_lags=hac_lags)
         _write(out_dir / "grid_daily_weekly.json", regress.grid_to_json(dw))
         _write(out_dir / "grid_daily_weekly.tsv", regress.grid_to_tsv(dw))
         click.echo(f"wrote {len(dw)} daily/weekly cells to {out_dir}")
@@ -254,15 +252,15 @@ def cmd_regress(flows, bars_eth, bars_btc, bar_frequency_minutes, horizons, pair
 @click.option("--flows", type=_in_path, required=True)
 @click.option("--asset", type=click.Choice([a.value for a in Asset]), default="ETH",
               show_default=True)
-@click.option("--k", type=_positive, default=10, show_default=True)
-@click.option("--years", default=None, callback=_parse_years,
-              help="Comma-separated years; default: all.")
+@click.option("--k", type=click.IntRange(min=1), default=10, show_default=True)
+@click.option("--years", type=_CommaList("year", int, "expected e.g. '2021,2022'"),
+              default=None, help="Comma-separated years; default: all.")
 @click.option("--most-negative", is_flag=True, help="Rank extreme net outflows instead.")
 @click.option("--bars", type=_in_path, default=None,
               help="Bars for case-study windows (with --window-*-hours).")
-@click.option("--bar-frequency-minutes", type=_positive, default=5, show_default=True)
-@click.option("--window-pre-hours", type=click.IntRange(min=0), default=72, show_default=True)
-@click.option("--window-post-hours", type=click.IntRange(min=0), default=48, show_default=True)
+@click.option("--bar-frequency-minutes", type=_minutes, default=5, show_default=True)
+@click.option("--window-pre-hours", type=_window_hours, default=72, show_default=True)
+@click.option("--window-post-hours", type=_window_hours, default=48, show_default=True)
 @click.option("--out", type=_out_dir, required=True)
 def cmd_events(flows, asset, k, years, most_negative, bars, bar_frequency_minutes,
                window_pre_hours, window_post_hours, out):
@@ -307,10 +305,11 @@ def cmd_events(flows, asset, k, years, most_negative, bars, bar_frequency_minute
               show_default=True)
 @click.option("--pct", type=_FiniteRange(0, 1, min_open=True), default=0.10,
               show_default=True)
-@click.option("--legs", default="top,bottom", show_default=True)
+@click.option("--legs", type=_choices("leg", (options.LEG_TOP, options.LEG_BOTTOM)),
+              default="top,bottom", show_default=True)
 @click.option("--side", type=click.Choice([options.SIDE_SELL, options.SIDE_BUY]),
               default=options.SIDE_SELL, show_default=True)
-@click.option("--holding-hours", type=_positive, default=1, show_default=True)
+@click.option("--holding-hours", type=_hours, default=1, show_default=True)
 @click.option("--premium-rate", type=_rate, default=0.0003, show_default=True)
 @click.option("--hedge-rate", type=_rate, default=0.0005, show_default=True)
 @click.option("--half-spread", type=_rate, default=0.0005, show_default=True)
@@ -321,7 +320,6 @@ def cmd_events(flows, asset, k, years, most_negative, bars, bar_frequency_minute
 def cmd_backtest(flows, options_path, asset, pct, legs, side, holding_hours,
                  premium_rate, hedge_rate, half_spread, slippage, wtl_mode, out):
     """Percentile-triggered call backtest; writes the bucketed report TSV."""
-    leg_list = _parse_list(legs, (options.LEG_TOP, options.LEG_BOTTOM), "leg")
     flow_series = ingest.parse_flows(flows).select(Asset(asset))
     hourly = net_inflows(flow_series, timedelta(hours=1))
     quotes = ingest.parse_option_quotes(options_path)
@@ -329,7 +327,7 @@ def cmd_backtest(flows, options_path, asset, pct, legs, side, holding_hours,
                                half_spread=half_spread, slippage=slippage)
 
     stats: dict = {}
-    for leg in leg_list:
+    for leg in legs:
         leg_stats, diag = options.run_percentile_backtest(
             hourly, quotes, pct, leg, side, costs,
             options.table_buckets(leg, pct),
@@ -353,7 +351,8 @@ def cmd_backtest(flows, options_path, asset, pct, legs, side, holding_hours,
 @click.option("--btc-btc-vol", type=float, default=-17.0, show_default=True)
 @click.option("--return-ar", type=float, default=-0.03, show_default=True)
 @click.option("--noise-sd", type=float, default=0.01, show_default=True)
-@click.option("--sub-frequency-minutes", type=int, default=5, show_default=True)
+@click.option("--sub-frequency-minutes", type=click.IntRange(max=_MAX_MINUTES), default=5,
+              show_default=True)
 @click.option("--iv-base", type=float, default=0.8, show_default=True)
 @click.option("--iv-flow-beta", type=float, default=-0.05, show_default=True)
 @click.option("--out", type=_out_dir, required=True)
@@ -364,7 +363,6 @@ def cmd_synth(seed, hours, usdt_eth_ret, eth_eth_ret, usdt_btc_ret, btc_btc_vol,
     chain_cfg = synth.SynthConfig(
         seed=seed, hours=hours, noise_sd=noise_sd, sub_frequency=sub,
         chain=synth.OptionChainSpec(iv_base=iv_base, iv_flow_beta=iv_flow_beta))
-    chain_cfg.validate()  # every flag, before the market is drawn
     plants = synth.GridPlants(
         usdt_eth_return=usdt_eth_ret, eth_eth_return=eth_eth_ret,
         usdt_btc_return=usdt_btc_ret, btc_btc_vol=btc_btc_vol,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from datetime import datetime, timedelta
+from typing import Iterable
 
 import numpy as np
 
@@ -37,11 +38,12 @@ def threshold_percentile(k: int, observations: int) -> float:
     """Percentile implied by flagging the top k of ``observations`` hours.
 
     For k=10 over a full 8,760-hour year this is 1 - 10/8760, which prints
-    as the 99.89th percentile.
+    as the 99.89th percentile; a k of at least ``observations`` flags every
+    hour, which is the 0th.
     """
     if observations <= 0:
         raise EmptyYear("no observations")
-    return 1.0 - k / observations
+    return 1.0 - min(k, observations) / observations
 
 
 def utc_years(epochs: np.ndarray) -> np.ndarray:
@@ -51,12 +53,13 @@ def utc_years(epochs: np.ndarray) -> np.ndarray:
 
 
 def detect_extremes(series: NetInflowSeries, k: int,
-                    years: set[int] | None = None,
+                    years: Iterable[int] | None = None,
                     most_negative: bool = False) -> list[EventHit]:
     """Flag the k most extreme net-inflow hours per calendar year.
 
-    By default the largest net inflows are flagged; ``most_negative``
-    flips the ranking to catch extreme net outflows instead.
+    ``years`` defaults to every year of the series; a year named twice is
+    flagged once. By default the largest net inflows are flagged;
+    ``most_negative`` flips the ranking to catch extreme net outflows instead.
     """
     if k < 1:
         raise EmptyYear(f"k must be >= 1, got {k}")
@@ -66,7 +69,7 @@ def detect_extremes(series: NetInflowSeries, k: int,
     vals = series.values
     years_of = utc_years(ts)
     present = set(years_of.tolist())
-    wanted = sorted(present) if years is None else sorted(years)
+    wanted = sorted(present if years is None else set(years))
     hits: list[EventHit] = []
     for year in wanted:
         mask = years_of == year
@@ -107,9 +110,15 @@ def extract_window(event: EventHit, hourly: NetInflowSeries, bars: BarSeries,
     if hourly.horizon != HOUR:
         raise FrequencyMismatch(f"case windows cut 1h series, got {hourly.horizon}")
 
+    # The flows bound the grid, not pre or post: a window that starts outside
+    # them misses its first hour, and one that runs past them misses the hour
+    # after their last, if no earlier one.
     t0 = int(event.timestamp.timestamp())
-    grid = np.arange(t0 - int(pre.total_seconds()),
-                     t0 + int(post.total_seconds()) + 1, 3600, dtype=np.int64)
+    start, hours = t0 - int(pre.total_seconds()), hourly.timestamps
+    if len(hours) == 0 or not hours[0] <= start <= hours[-1]:
+        raise InsufficientCoverage(f"no net inflow at {format_timestamp(start)}")
+    stop = min(t0 + int(post.total_seconds()), int(hours[-1]) + 3600)
+    grid = np.arange(start, stop + 1, 3600, dtype=np.int64)
 
     net_inflow_musd = _track(grid, hourly.timestamps, hourly.values, 0, "no net inflow at")
 

@@ -116,7 +116,8 @@ def design_matrix(sample: AlignedSample) -> tuple[np.ndarray, np.ndarray]:
 def _newey_west_cov(X: np.ndarray, resid: np.ndarray, lags: int) -> np.ndarray:
     xe = X * resid[:, None]
     S = xe.T @ xe
-    for j in range(1, lags + 1):
+    # A lag of n or more pairs no rows; its term would add 0.0.
+    for j in range(1, min(lags, len(xe) - 1) + 1):
         w = 1.0 - j / (lags + 1.0)
         G = xe[j:].T @ xe[:-j]
         S += w * (G + G.T)

@@ -147,6 +147,11 @@ def net_inflows(flows: FlowSeries, horizon: timedelta) -> NetInflowSeries:
     buckets = ts // h_s
     start = np.flatnonzero(np.concatenate(([True], buckets[1:] != buckets[:-1])))
     full = np.diff(start, append=len(buckets)) == hours_per_bucket
+    if not full.any():
+        # Skip the per-hour gather and sum, which would span the horizon's
+        # hours, not the rows: a full bucket needs one row per hour.
+        return NetInflowSeries(asset=Asset(flows.assets[0]), horizon=horizon,
+                               timestamps=np.empty(0, np.int64), values=np.empty(0))
     # Sum each full bucket strictly left to right (hours are contiguous in the
     # sorted array), so results match an element-by-element oracle exactly.
     idx = start[full][:, None] + np.arange(hours_per_bucket)

@@ -17,12 +17,17 @@ in Python floats, bit for bit ``scipy.signal.lfilter([1], [1, -b], x)``.
 ``DEFAULT_START``. Each array is drawn in a fixed order from numpy's PCG64
 seeded through ``SeedSequence(seed)``, so a seed pins the full dataset
 byte-for-byte.
+
+``SynthConfig``, ``OptionChainSpec`` and ``GridPlants`` check themselves on
+construction and raise ``InvalidConfig``: every float field must be finite,
+and the first two also check their ranges. ``gen_market`` checks the
+plants' ranges when it builds its ``SynthConfig``, before any draw.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from datetime import timedelta
 from typing import Mapping
 
@@ -46,6 +51,16 @@ STRIKE_STEP = 5.0   # option strikes round to this step, halved where two rungs 
 IV_FLOOR = 0.05     # least implied vol of a synthetic quote
 
 
+def _check_finite(config) -> None:
+    """Refuse NaN or an infinity in any float field of a synth config. A
+    field's type is its annotation's text, as this module's ``annotations``
+    future import leaves it."""
+    for field in fields(config):
+        value = getattr(config, field.name)
+        if field.type == "float" and not math.isfinite(value):
+            raise InvalidConfig(f"{field.name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class OptionChainSpec:
     """Strike/expiry grid of the synthetic call chain, quoted every hour.
@@ -60,11 +75,19 @@ class OptionChainSpec:
     iv_base: float = 0.8
     iv_flow_beta: float = 0.0   # implied-vol response to last hour's net inflow
 
+    def __post_init__(self):
+        _check_finite(self)
+        if min(int(self.expiry_every.total_seconds()),
+               int(self.lifetime.total_seconds())) <= 0:
+            raise InvalidConfig("expiry_every and lifetime must be positive")
+        if self.iv_base <= 0:
+            raise InvalidConfig("iv_base must be positive")
+
 
 @dataclass(frozen=True)
 class SynthConfig:
     """One planted (net inflow -> same asset) system plus its option chain:
-    every synth default, checked by ``validate`` before any draw."""
+    every synth default, checked on construction."""
 
     seed: int
     hours: int
@@ -84,7 +107,8 @@ class SynthConfig:
     asset: Asset = Asset.ETH
     chain: OptionChainSpec | None = None
 
-    def validate(self) -> None:
+    def __post_init__(self):
+        _check_finite(self)
         if self.hours < 100:
             raise InvalidConfig(f"hours must be >= 100, got {self.hours}")
         if self.noise_sd < 0 or self.flow_sd_musd < 0 or self.vol_noise_sd < 0:
@@ -101,12 +125,6 @@ class SynthConfig:
             raise InvalidConfig("vol_horizon must be a whole number of hours")
         if self.hours % vh != 0:
             raise InvalidConfig(f"hours={self.hours} is not a multiple of the {vh:g}h vol horizon")
-        if self.chain is not None:
-            if min(int(self.chain.expiry_every.total_seconds()),
-                   int(self.chain.lifetime.total_seconds())) <= 0:
-                raise InvalidConfig("expiry_every and lifetime must be positive")
-            if self.chain.iv_base <= 0:
-                raise InvalidConfig("iv_base must be positive")
 
 
 def gen_flows(seq: np.random.SeedSequence, hours: int, flow_sd_musd: float,
@@ -141,7 +159,7 @@ def gen_price_bars(seq: np.random.SeedSequence, cfg: SynthConfig,
                    flows: Mapping[Asset, FlowSeries],
                    return_betas: Mapping[Asset, float],
                    vol_betas: Mapping[Asset, float]) -> BarSeries:
-    """Sub-hourly bars of ``cfg.asset``, planted on ``flows``; ``cfg`` must pass ``validate``."""
+    """Sub-hourly bars of ``cfg.asset``, planted on ``flows``."""
     rng = np.random.default_rng(seq)
     hours = cfg.hours
     sub_s = int(cfg.sub_frequency.total_seconds())
@@ -190,7 +208,6 @@ def gen_price_bars(seq: np.random.SeedSequence, cfg: SynthConfig,
 
 def gen_flows_and_prices(cfg: SynthConfig) -> tuple[FlowSeries, BarSeries]:
     """Flows and bars for one planted single-asset system."""
-    cfg.validate()
     flow_seq, bar_seq = np.random.SeedSequence(cfg.seed).spawn(2)
     flows = gen_flows(flow_seq, cfg.hours, cfg.flow_sd_musd, cfg.asset)
     bars = gen_price_bars(bar_seq, cfg, {cfg.asset: flows},
@@ -230,7 +247,6 @@ def gen_option_chain(cfg: SynthConfig, bars: BarSeries, flows: FlowSeries) -> Qu
     *previous* hour's net inflow, so an event-hour entry never embeds the
     event's own flow.
     """
-    cfg.validate()
     if cfg.chain is None:
         raise InvalidConfig("config has no option_chain_spec")
     spec = cfg.chain
@@ -285,7 +301,9 @@ class GridPlants:
     What the plants do not set is fixed: hourly net flows have standard
     deviations of US$100M (USDT), US$1M (ETH) and US$100 (BTC), and both
     assets' sub-bars use ``SynthConfig``'s defaults for every setting the
-    plants do not name, such as ``vol_base`` and ``vol_floor``.
+    plants do not name, such as ``vol_base`` and ``vol_floor``. A plant is
+    checked to be finite here, and against its range where ``gen_market``
+    passes it to a ``SynthConfig``.
     """
 
     usdt_eth_return: float = 0.0
@@ -295,13 +313,15 @@ class GridPlants:
     return_ar: float = 0.0
     noise_sd: float = 0.01
 
+    def __post_init__(self):
+        _check_finite(self)
+
 
 def gen_market(seed: int, hours: int, plants: GridPlants = GridPlants(),
                sub_frequency: timedelta = DEFAULT_SUB_FREQUENCY) -> MarketData:
     """Flows for USDT/ETH/BTC and bars for ETH/BTC with the planted relations."""
     eth_cfg = SynthConfig(seed=seed, hours=hours, beta2=plants.return_ar,
                           noise_sd=plants.noise_sd, sub_frequency=sub_frequency)
-    eth_cfg.validate()
     seqs = np.random.SeedSequence(seed).spawn(5)
     flows = {
         Asset.USDT: gen_flows(seqs[0], hours, 100.0, Asset.USDT),

@@ -39,7 +39,7 @@ from flowcast.options import (
     select_percentile_hours,
     trade,
 )
-from flowcast.regress import OlsFit, _newey_west_cov
+from flowcast.regress import OlsFit
 from flowcast.series import AlignedSample, _seconds
 
 
@@ -153,10 +153,24 @@ def ols_reference(X, y):
     return beta, se, r2_adj
 
 
+def _newey_west_every_lag(X, resid, lags):
+    """The Newey-West covariance summed over every lag up to ``lags``, also
+    those of n or more, whose empty products add 0.0."""
+    xe = X * resid[:, None]
+    S = xe.T @ xe
+    for j in range(1, lags + 1):
+        w = 1.0 - j / (lags + 1.0)
+        G = xe[j:].T @ xe[:-j]
+        S += w * (G + G.T)
+    xtx_inv = np.linalg.inv(X.T @ X)
+    return xtx_inv @ S @ xtx_inv
+
+
 def reference_ols_fit(sample, hac_lags=None):
-    """``ols_fit`` as it was before it built ``X`` in place and computed
+    """``ols_fit`` as it was before it built ``X`` in place, computed
     ``t_stat`` and ``sst`` without ``np.errstate``, ``np.where`` and
-    ``np.mean``; every field of its result must match to the byte."""
+    ``np.mean``, and stopped the Newey-West sum at the sample; every field
+    of its result must match to the byte."""
     cols = [np.ones(sample.n), sample.predictor]
     if sample.control is not None:
         cols.append(sample.control)
@@ -179,7 +193,7 @@ def reference_ols_fit(sample, hac_lags=None):
     else:
         if hac_lags < 0:
             raise InvalidConfig(f"hac_lags must be >= 0, got {hac_lags}")
-        cov = _newey_west_cov(X, resid, hac_lags)
+        cov = _newey_west_every_lag(X, resid, hac_lags)
     se = np.sqrt(np.maximum(np.diag(cov), 0.0))
 
     with np.errstate(divide="ignore", invalid="ignore"):

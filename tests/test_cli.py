@@ -286,6 +286,36 @@ def test_events_command(dataset, tmp_path, capsys):
     assert "threshold percentile" in capsys.readouterr().out
 
 
+@pytest.fixture
+def year_end_flows(tmp_path):
+    """Twelve ETH hours from 2021-12-31T20Z: four in 2021, eight in 2022."""
+    lines = [f"2021-12-31T{h}:00:00Z,ETH,{h},0" for h in range(20, 24)]
+    lines += [f"2022-01-01T{h:02d}:00:00Z,ETH,{h + 1},0" for h in range(8)]
+    flows = tmp_path / "flows.csv"
+    flows.write_text("timestamp,asset,inflow_usd,outflow_usd\n" + "\n".join(lines) + "\n")
+    return flows
+
+
+def test_events_threshold_percentile_is_never_negative(year_end_flows, tmp_path, capsys):
+    # k = 10 flags every hour of both years: the 0th percentile.
+    out = tmp_path / "events"
+    assert main(["events", "--flows", str(year_end_flows), "--out", str(out)]) == 0
+    assert capsys.readouterr().out == (
+        "2021: 4 hits over 4 hours (threshold percentile 0.00%)\n"
+        "2022: 8 hits over 8 hours (threshold percentile 0.00%)\n"
+        f"wrote 12 events to {out}\n")
+
+
+def test_events_flags_a_year_named_twice_once(year_end_flows, tmp_path, capsys):
+    out = tmp_path / "events"
+    argv = ["events", "--flows", str(year_end_flows), "--years", "2021,2021", "--out", str(out)]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == (
+        "2021: 4 hits over 4 hours (threshold percentile 0.00%)\n"
+        f"wrote 4 events to {out}\n")
+    assert len((out / "events.csv").read_text().splitlines()) == 5
+
+
 def test_events_with_windows(dataset, tmp_path):
     out = tmp_path / "eventsw"
     code = main(["events", "--flows", str(dataset / "flows.csv"),
@@ -381,8 +411,20 @@ def test_validation_error_exit_code(tmp_path, capsys):
     (["--sub-frequency-minutes", "-5"], "sub_frequency must divide one hour"),
     (["--iv-base", "0"], "iv_base must be positive"),
     (["--iv-base", "-1"], "iv_base must be positive"),
+    (["--usdt-eth-ret", "nan"], "usdt_eth_return must be finite, got nan"),
+    (["--eth-eth-ret", "inf"], "eth_eth_return must be finite, got inf"),
+    (["--usdt-btc-ret", "-inf"], "usdt_btc_return must be finite, got -inf"),
+    (["--btc-btc-vol", "nan"], "btc_btc_vol must be finite, got nan"),
+    (["--return-ar", "inf"], "return_ar must be finite, got inf"),
+    (["--noise-sd", "nan"], "noise_sd must be finite, got nan"),
+    (["--noise-sd", "inf"], "noise_sd must be finite, got inf"),
+    (["--iv-base", "nan"], "iv_base must be finite, got nan"),
+    (["--iv-base", "inf"], "iv_base must be finite, got inf"),
+    (["--iv-flow-beta", "-inf"], "iv_flow_beta must be finite, got -inf"),
 ], ids=["noise-sd", "sub-frequency-zero", "sub-frequency-negative", "iv-base-zero",
-        "iv-base-negative"])
+        "iv-base-negative", "usdt-eth-ret-nan", "eth-eth-ret-inf", "usdt-btc-ret-negative-inf",
+        "btc-btc-vol-nan", "return-ar-inf", "noise-sd-nan", "noise-sd-inf", "iv-base-nan",
+        "iv-base-inf", "iv-flow-beta-negative-inf"])
 def test_synth_rejects_a_bad_flag_before_drawing(tmp_path, capsys, monkeypatch, flags, message):
     def drawn(*args, **kwargs):
         raise AssertionError("gen_market ran before the flags were checked")
@@ -391,6 +433,16 @@ def test_synth_rejects_a_bad_flag_before_drawing(tmp_path, capsys, monkeypatch, 
     out = tmp_path / "data"
     assert main(["synth", "--seed", "1", "--hours", "100", *flags, "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"validation error: {message}\n"
+    assert not out.exists()
+
+
+def test_synth_refuses_a_sub_frequency_too_long_for_a_duration(tmp_path, capsys):
+    out = tmp_path / "data"
+    argv = ["synth", "--seed", "1", "--sub-frequency-minutes", "10000000000000",
+            "--out", str(out)]
+    assert main(argv) == 2
+    assert ("'--sub-frequency-minutes': 10000000000000 is not in the range x<=1439999999999"
+            in capsys.readouterr().err)
     assert not out.exists()
 
 
@@ -410,7 +462,8 @@ NUMERIC_FLAG_ERRORS = [
     ("events", ["--k", "0"], 2, "'--k': 0 is not in the range x>=1"),
     ("backtest", ["--pct", "0"], 2, "'--pct': 0.0 is not in the range 0<x<=1"),
     ("backtest", ["--pct", "1.5"], 2, "'--pct': 1.5 is not in the range 0<x<=1"),
-    ("backtest", ["--holding-hours", "0"], 2, "'--holding-hours': 0 is not in the range x>=1"),
+    ("backtest", ["--holding-hours", "0"], 2,
+     "'--holding-hours': 0 is not in the range 1<=x<=23999999999"),
     ("backtest", ["--pct", "nan"], 2, "'--pct': nan is not a finite number."),
     ("backtest", ["--slippage", "nan"], 2, "'--slippage': nan is not a finite number."),
     ("backtest", ["--half-spread", "inf"], 2, "'--half-spread': inf is not a finite number."),
@@ -418,32 +471,44 @@ NUMERIC_FLAG_ERRORS = [
      "'--premium-rate': -1.0 is not in the range x>=0."),
     ("backtest", ["--hedge-rate", "-inf"], 2,
      "'--hedge-rate': -inf is not in the range x>=0."),
-] + [(command, ["--bar-frequency-minutes", "0"], 2,
-      "'--bar-frequency-minutes': 0 is not in the range x>=1")
-     for command in ("ingest-check", "regress", "events")]
+    # Durations a timedelta cannot hold.
+    ("regress", ["--horizons", "100000000000000"], 2,
+     "'--horizons': bad horizon '100000000000000'; expected whole hours in 1..23999999999"),
+    ("backtest", ["--holding-hours", "10000000000000000"], 2,
+     "'--holding-hours': 10000000000000000 is not in the range 1<=x<=23999999999"),
+    ("events", ["--window-pre-hours", "100000000000000"], 2,
+     "'--window-pre-hours': 100000000000000 is not in the range 0<=x<=23999999999"),
+    ("events", ["--window-post-hours", "100000000000000"], 2,
+     "'--window-post-hours': 100000000000000 is not in the range 0<=x<=23999999999"),
+] + [(command, ["--bar-frequency-minutes", minutes], 2,
+      f"'--bar-frequency-minutes': {minutes} is not in the range 1<=x<=1439999999999")
+     for minutes in ("0", "10000000000000") for command in ("ingest-check", "regress", "events")]
 NUMERIC_FLAG_IDS = ["k-zero", "pct-zero", "pct-above-one", "holding-zero", "pct-nan",
                     "slippage-nan", "half-spread-inf", "premium-rate-negative",
-                    "hedge-rate-negative-inf",
-                    "ingest-check-frequency", "regress-frequency", "events-frequency"]
+                    "hedge-rate-negative-inf", "horizon-too-long", "holding-too-long",
+                    "window-pre-too-long", "window-post-too-long",
+                    "ingest-check-frequency", "regress-frequency", "events-frequency",
+                    "ingest-check-frequency-too-long", "regress-frequency-too-long",
+                    "events-frequency-too-long"]
 
 
 @pytest.mark.parametrize("command,flags,code,message", [
-    ("regress", ["--horizons", "0"], 2, "bad horizon list '0'"),
-    ("regress", ["--horizons", "1,-1"], 2, "bad horizon list '1,-1'"),
-    ("regress", ["--horizons", "1.5"], 2, "bad horizon list '1.5'"),
-    ("regress", ["--horizons", ","], 2, "bad horizon list ','"),
+    ("regress", ["--horizons", "0"], 2, "'--horizons': bad horizon '0'"),
+    ("regress", ["--horizons", "1,-1"], 2, "'--horizons': bad horizon '-1'"),
+    ("regress", ["--horizons", "1.5"], 2, "'--horizons': bad horizon '1.5'"),
+    ("regress", ["--horizons", ","], 2, "'--horizons': no horizons given"),
     ("regress", ["--hac-lags", "-1"], 2, "'--hac-lags': -1 is not in the range x>=0"),
     ("regress", ["--pairs", "USDT-ETH"], 2, "bad pair 'USDT-ETH'; expected e.g. 'USDT:ETH'"),
     ("regress", ["--pairs", " , "], 2, "no pairs given"),
     ("regress", ["--targets", "price"], 2, "bad target 'price'; allowed: return, volatility"),
     ("regress", ["--models", "triple"], 2, "bad model 'triple'; allowed: single, double"),
-    ("regress", ["--models", ","], 2, "no model given"),
+    ("regress", ["--models", ","], 2, "no models given"),
     ("events", ["--window-pre-hours", "-1"], 2,
-     "'--window-pre-hours': -1 is not in the range x>=0"),
+     "'--window-pre-hours': -1 is not in the range 0<=x<=23999999999"),
     ("events", ["--window-post-hours", "-1"], 2,
-     "'--window-post-hours': -1 is not in the range x>=0"),
-    ("events", ["--years", "x"], 2, "bad year list 'x'"),
-    ("events", ["--years", ","], 2, "bad year list ','"),
+     "'--window-post-hours': -1 is not in the range 0<=x<=23999999999"),
+    ("events", ["--years", "x"], 2, "'--years': bad year 'x'"),
+    ("events", ["--years", ","], 2, "'--years': no years given"),
     ("backtest", ["--legs", "middle"], 2, "bad leg 'middle'; allowed: top, bottom"),
     ("backtest", ["--help"], 0, "Percentile-triggered call backtest"),
 ] + NUMERIC_FLAG_ERRORS, ids=["horizon-zero", "horizon-negative", "horizon-fraction",
@@ -466,6 +531,27 @@ def test_bad_list_flag_is_refused_before_any_input_is_read(dataset, tmp_path, ca
             "--pairs", "USDT:ETH", "--models", "triple", "--out", str(tmp_path / "o")]
     assert main(argv) == 2
     assert "bad model 'triple'; allowed: single, double" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line,message", [
+    ("regress.pairs = USDT-ETH",
+     "Invalid value for '--pairs': bad pair 'USDT-ETH'; expected e.g. 'USDT:ETH'"),
+    ("regress.horizons = 1,0",
+     "Invalid value for '--horizons': bad horizon '0'; expected whole hours in 1..23999999999"),
+], ids=["pairs", "horizons"])
+def test_bad_list_in_a_config_file_is_refused_before_any_input_is_read(
+        dataset, tmp_path, capsys, line, message):
+    flows = tmp_path / "flows.csv"
+    flows.write_text("timestamp,asset,inflow_usd,outflow_usd\nnot,a,valid,row\n")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{line}\n")
+    out = tmp_path / "o"
+    argv = ["--config", str(cfg), "regress", "--flows", str(flows),
+            "--bars-eth", str(dataset / "bars_eth.csv"),
+            "--bars-btc", str(dataset / "bars_btc.csv"), "--out", str(out)]
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command,flags,code,message", NUMERIC_FLAG_ERRORS,

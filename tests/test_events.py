@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -13,7 +14,7 @@ from flowcast.events import (
     threshold_percentile,
     window_track_csvs,
 )
-from flowcast.ingest import Asset
+from flowcast.ingest import Asset, format_timestamp
 from flowcast.series import HOUR, net_inflows
 
 YEAR_2022 = int(datetime(2022, 1, 1, tzinfo=timezone.utc).timestamp())
@@ -46,6 +47,16 @@ def test_k_larger_than_series_flags_everything():
     hits = detect_extremes(series, k=10)
     assert len(hits) == 3
     assert [h.net_inflow_musd for h in hits] == [5.0, 1.0, -2.0]
+
+
+def test_threshold_percentile_is_zero_when_every_hour_is_flagged():
+    assert threshold_percentile(10, 3) == threshold_percentile(3, 3) == 0.0
+    assert threshold_percentile(2, 8) == 0.75
+
+
+def test_a_year_named_twice_is_flagged_once():
+    series = hourly_series([1.0, 5.0, -2.0])
+    assert detect_extremes(series, k=2, years=[2022, 2022]) == detect_extremes(series, k=2)
 
 
 def test_detection_is_permutation_invariant(rng):
@@ -164,6 +175,37 @@ def test_window_insufficient_coverage(rng):
     with pytest.raises(errors.InsufficientCoverage):
         extract_window(hit, series, bars, pre=timedelta(days=1), post=timedelta(0))
     assert first_hit is not None
+
+
+def test_window_grid_is_bounded_by_the_flows(rng):
+    # Ten million hours before or after the event: the window fails at the
+    # same first missing hour as a grid over all of them would, and allocates
+    # no grid beyond the flows (80 MB for 10**7 hours).
+    series = net_inflows(make_flows(rng.normal(0, 5, size=240), start=YEAR_2022,
+                                    gaps=(200,)), HOUR)
+    bars = make_bars(np.full(240, 100.0), start=YEAR_2022)
+    hit = detect_extremes(series, k=1)[0]
+
+    def at(hour):
+        stamp = datetime.fromtimestamp(YEAR_2022 + 3600 * hour, tz=timezone.utc)
+        return dataclasses.replace(hit, timestamp=stamp)
+
+    far, none = timedelta(hours=10**7), timedelta(0)
+    for event_hour, pre, post, first_missing_hour in [
+            (100, far, none, 100 - 10**7),
+            (100, none, far, 200),  # the gap
+            (210, none, far, 240),  # the hour after the last
+            (244, none, far, 244)]:  # an event past the flows
+        tracemalloc.start()
+        try:
+            with pytest.raises(errors.InsufficientCoverage) as exc:
+                extract_window(at(event_hour), series, bars, pre=pre, post=post)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        missing = format_timestamp(YEAR_2022 + 3600 * first_missing_hour)
+        assert str(exc.value) == f"no net inflow at {missing}"
 
 
 def test_window_rejects_another_assets_or_horizons_series(rng):

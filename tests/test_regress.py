@@ -1,4 +1,5 @@
 import math
+import time
 from datetime import timedelta
 
 import numpy as np
@@ -135,7 +136,15 @@ def _fit_bytes(fit):
             + [float(fit.r2_adj).hex(), fit.n])
 
 
-@pytest.mark.parametrize("hac_lags", [None, 0, 1, 2, 3, 4])
+def _lags(hac_lags, sample):
+    """``hac_lags``, or for "n-1", "n" and "3n" that multiple of the sample's rows."""
+    if not isinstance(hac_lags, str):
+        return hac_lags
+    n = sample.n
+    return {"n-1": n - 1, "n": n, "3n": 3 * n}[hac_lags]
+
+
+@pytest.mark.parametrize("hac_lags", [None, 0, 1, 2, 3, 4, "n-1", "n", "3n"])
 def test_ols_fit_is_byte_identical_to_reference_ols_fit(rng, hac_lags):
     samples = []
     for i in range(60):
@@ -151,17 +160,28 @@ def test_ols_fit_is_byte_identical_to_reference_ols_fit(rng, hac_lags):
              sample_from(alt, 2.0 * alt),
              sample_from(alt, -2.0 * alt, control=np.repeat(alt[:2], 20))]
     for sample in exact:
-        assert not ols_fit(sample, hac_lags).se.any()
+        assert not ols_fit(sample, _lags(hac_lags, sample)).se.any()
     # Non-finite responses; inf warns inside numpy, on both sides alike.
     x = np.linspace(-2, 3, 50)
     nonfinite = [sample_from(x, np.where(x > 0, np.nan, x)),
                  sample_from(x, np.where(x > 0, np.inf, x), control=np.cos(x))]
     for sample in samples + exact + nonfinite:
         with np.errstate(all="ignore"):
-            got, want = ols_fit(sample, hac_lags), oracles.reference_ols_fit(sample, hac_lags)
+            lags = _lags(hac_lags, sample)
+            got, want = ols_fit(sample, lags), oracles.reference_ols_fit(sample, lags)
         assert _fit_bytes(got) == _fit_bytes(want)
-    t_exact = {float(t) for s in exact for t in ols_fit(s, hac_lags).t_stat}
+    t_exact = {float(t) for s in exact for t in ols_fit(s, _lags(hac_lags, s)).t_stat}
     assert t_exact == {0.0, np.inf, -np.inf}
+
+
+def test_newey_west_stops_at_the_sample(rng):
+    # Lags past n - 1 pair no rows, so a huge lag count costs no more than n - 1.
+    x = rng.normal(size=60)
+    sample = sample_from(x, 0.5 * x + rng.normal(size=60))
+    start = time.perf_counter()
+    fit = ols_fit(sample, hac_lags=10**6)
+    assert time.perf_counter() - start < 0.5
+    assert np.isfinite(fit.se).all()
 
 
 # ---------------------------------------------------------------------------

@@ -67,6 +67,21 @@ def test_net_inflow_bucket_additivity(rng):
         assert v == pytest.approx(sum(parts), rel=1e-15)
 
 
+def test_net_inflow_memory_follows_the_rows_not_the_horizon(rng):
+    # A million-hour horizon over 400 hours fills no bucket: the result is
+    # empty, with no per-hour gather of the horizon's length (8 MB).
+    flows = make_flows(rng.normal(0, 3, size=400))
+    tracemalloc.start()
+    try:
+        series = net_inflows(flows, timedelta(hours=10**6))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert (series.asset, series.horizon, len(series)) == (Asset.ETH, timedelta(hours=10**6), 0)
+    assert (series.timestamps.dtype, series.values.dtype) == (np.int64, np.float64)
+
+
 def test_net_inflow_empty_input():
     with pytest.raises(errors.EmptyInput):
         net_inflows(make_flows([]), H1)

@@ -1,3 +1,4 @@
+import dataclasses
 from datetime import timedelta
 
 import numpy as np
@@ -256,6 +257,20 @@ def test_invalid_configs_rejected():
     flows, bars = gen_flows_and_prices(SynthConfig(seed=1, hours=100))
     with pytest.raises(errors.InvalidConfig):
         gen_option_chain(SynthConfig(seed=1, hours=100), bars, flows)
+
+
+@pytest.mark.parametrize("config,required", [
+    (SynthConfig, dict(seed=1, hours=100)),
+    (OptionChainSpec, {}),
+    (GridPlants, {}),
+], ids=["SynthConfig", "OptionChainSpec", "GridPlants"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_configs_refuse_a_non_finite_float_on_construction(config, required, value):
+    names = [f.name for f in dataclasses.fields(config) if f.type == "float"]
+    assert names
+    for name in names:
+        with pytest.raises(errors.InvalidConfig, match=f"^{name} must be finite, got {value}$"):
+            config(**required, **{name: value})
 
 
 def test_gen_market_covers_grid_assets():
