@@ -40,7 +40,6 @@ from .regress import (
     HeatmapCell,
     MarketData,
     OlsFit,
-    daily_weekly_grid,
     ols_fit,
     run_grid,
     significance,
@@ -73,7 +72,7 @@ __all__ = [
     "NetInflowSeries", "ReturnSeries", "VolSeries", "AlignedSample",
     "net_inflows", "returns", "realized_vol", "align",
     "OlsFit", "HeatmapCell", "MarketData", "ols_fit", "significance",
-    "run_grid", "daily_weekly_grid", "split_evaluate",
+    "run_grid", "split_evaluate",
     "EventHit", "detect_extremes", "extract_window", "threshold_percentile",
     "CostParams", "TradeOutcome", "BucketKey", "BucketStats", "call_price",
     "trade", "net_pnl", "breakeven_slippage", "otm_range", "initial_capital",

@@ -2,7 +2,7 @@
 option backtests, and the synthetic-data generator.
 
 Exit codes: 0 success, 1 I/O failure, 2 input/validation failure; ``regress``
-records a cell it cannot estimate in the grid and still exits 0.
+records a cell it cannot build or fit in the grid and still exits 0.
 ``FLOWCAST_LOG`` sets the log level; all other configuration comes from
 flags or an optional ``key=value`` config file (flags win on conflict).
 Outputs are deterministic: re-running a command on identical inputs
@@ -188,6 +188,8 @@ def ingest_check(flows, bars, bar_frequency_minutes, options_path):
         raise click.UsageError("nothing to check; pass --flows, --bars or --options")
     if flows:
         series = ingest.parse_flows(flows)
+        if not len(series):
+            click.echo("flows: 0 rows")
         for asset in series.asset_set():
             sub = series.select(asset)
             click.echo(f"flows {asset.value}: {len(sub)} rows, "
@@ -231,21 +233,19 @@ def cmd_regress(flows, bars_eth, bars_btc, bar_frequency_minutes, horizons, pair
         raise ValidationError(f"no bars supplied for response asset(s): {', '.join(missing)}")
 
     data = _load_market(flows, bars_paths, timedelta(minutes=bar_frequency_minutes))
-    cells = regress.run_grid(data, horizons=horizons, pairs=pairs, targets=targets,
-                             models=models, min_obs=min_obs, hac_lags=hac_lags)
-
-    out_dir = Path(out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write(out_dir / "grid.json", regress.grid_to_json(cells))
-    _write(out_dir / "grid.tsv", regress.grid_to_tsv(cells))
-    failed = sum(1 for c in cells if c.error is not None)
-    click.echo(f"wrote {len(cells)} cells ({failed} failed) to {out_dir}")
-
+    grids = [("grid", "", horizons, targets)]
     if daily_weekly:
-        dw = regress.daily_weekly_grid(data, pairs=pairs, min_obs=min_obs, hac_lags=hac_lags)
-        _write(out_dir / "grid_daily_weekly.json", regress.grid_to_json(dw))
-        _write(out_dir / "grid_daily_weekly.tsv", regress.grid_to_tsv(dw))
-        click.echo(f"wrote {len(dw)} daily/weekly cells to {out_dir}")
+        grids.append(("grid_daily_weekly", "daily/weekly ", regress.DAILY_WEEKLY_HORIZONS,
+                      (regress.TARGET_VOLATILITY,)))
+    out_dir = Path(out)
+    for name, label, grid_horizons, grid_targets in grids:
+        cells = regress.run_grid(data, horizons=grid_horizons, pairs=pairs, targets=grid_targets,
+                                 models=models, min_obs=min_obs, hac_lags=hac_lags)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        _write(out_dir / f"{name}.json", regress.grid_to_json(cells))
+        _write(out_dir / f"{name}.tsv", regress.grid_to_tsv(cells))
+        failed = sum(1 for c in cells if c.error is not None)
+        click.echo(f"wrote {len(cells)} {label}cells ({failed} failed) to {out_dir}")
 
 
 @cli.command("events")
@@ -344,7 +344,7 @@ def cmd_backtest(flows, options_path, asset, pct, legs, side, holding_hours,
 
 @cli.command("synth")
 @click.option("--seed", type=int, required=True)
-@click.option("--hours", type=int, default=2000, show_default=True)
+@click.option("--hours", type=click.IntRange(max=_MAX_HOURS), default=2000, show_default=True)
 @click.option("--usdt-eth-ret", type=float, default=1.1e-5, show_default=True)
 @click.option("--eth-eth-ret", type=float, default=-0.017, show_default=True)
 @click.option("--usdt-btc-ret", type=float, default=6.3e-6, show_default=True)

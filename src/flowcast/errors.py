@@ -2,8 +2,11 @@
 
 Two broad families matter to callers: `ValidationError` (bad inputs or
 configuration) and `EstimationError` (a statistical routine cannot run on
-otherwise valid data). The CLI exits 2 on a `ValidationError`; `run_grid`
-records an `EstimationError` as a failed cell, so no command exits on one.
+otherwise valid data). The CLI exits 2 on either. `run_grid` records any
+`FlowcastError` raised while building or fitting a cell as a failed cell:
+an `EstimationError` such as `TooFewObservations`, or a `ValidationError`
+such as the `InvalidConfig` of a pair whose flow asset has no data. So
+`regress` exits 0 with such cells in its grid.
 """
 
 

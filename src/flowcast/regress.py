@@ -118,7 +118,8 @@ def _newey_west_cov(X: np.ndarray, resid: np.ndarray, lags: int) -> np.ndarray:
     S = xe.T @ xe
     # A lag of n or more pairs no rows; its term would add 0.0.
     for j in range(1, min(lags, len(xe) - 1) + 1):
-        w = 1.0 - j / (lags + 1.0)
+        # Exact int division: lags + 1.0 overflows past float range.
+        w = 1.0 - j / (lags + 1)
         G = xe[j:].T @ xe[:-j]
         S += w * (G + G.T)
     xtx_inv = np.linalg.inv(X.T @ X)
@@ -258,8 +259,10 @@ def significance(t_stat: float, n: int, k: int) -> str:
     return ""
 
 
-def classify_sign(beta1: float, stars: str) -> str:
-    if not stars or beta1 == 0:
+def classify_sign(beta1: float | None, stars: str) -> str:
+    """The sign of a starred, nonzero ``beta1``; otherwise insignificant
+    (a failed cell's None ``beta1`` included)."""
+    if not stars or not beta1:
         return SIGN_INSIGNIFICANT
     return SIGN_POSITIVE if beta1 > 0 else SIGN_NEGATIVE
 
@@ -278,29 +281,20 @@ class MarketData:
 
 @dataclass
 class HeatmapCell:
+    """One fitted (pair, target, horizon, model) cell; a cell that could not
+    be estimated has ``beta1`` None, no stars and an ``error``."""
+
     pair: tuple[Asset, Asset]  # (predictor asset, response asset)
     target: str
     horizon: timedelta
     model: str
-    beta1: float | None
-    stars: str
-    sign: str
+    beta1: float | None = None
+    stars: str = ""
     error: str | None = None
 
-
-def _fit_cell(predictor: NetInflowSeries, response: ReturnSeries | VolSeries,
-              pair: tuple[Asset, Asset], target: str, horizon: timedelta, model: str,
-              min_obs: int, hac_lags: int | None) -> HeatmapCell:
-    control = response if model == MODEL_DOUBLE else None
-    sample = align(predictor, response, control=control)
-    k = 2 if model == MODEL_DOUBLE else 1
-    if sample.n < max(min_obs, k + 2):
-        raise TooFewObservations(f"n={sample.n} below minimum {max(min_obs, k + 2)}")
-    fit = ols_fit(sample, hac_lags=hac_lags)
-    beta1 = float(fit.beta[1])
-    stars = significance(float(fit.t_stat[1]), fit.n, fit.k)
-    return HeatmapCell(pair=pair, target=target, horizon=horizon, model=model,
-                       beta1=beta1, stars=stars, sign=classify_sign(beta1, stars))
+    @property
+    def sign(self) -> str:
+        return classify_sign(self.beta1, self.stars)
 
 
 def run_grid(data: MarketData,
@@ -342,27 +336,23 @@ def run_grid(data: MarketData,
             for horizon in horizons:
                 for model in models:
                     try:
-                        cells.append(_fit_cell(inflows(pair[0], horizon),
-                                               response(pair[1], target, horizon),
-                                               pair, target, horizon, model,
-                                               min_obs, hac_lags))
+                        predictor = inflows(pair[0], horizon)
+                        resp = response(pair[1], target, horizon)
+                        sample = align(predictor, resp,
+                                       control=resp if model == MODEL_DOUBLE else None)
+                        need = max(min_obs, 4 if model == MODEL_DOUBLE else 3)
+                        if sample.n < need:
+                            raise TooFewObservations(f"n={sample.n} below minimum {need}")
+                        fit = ols_fit(sample, hac_lags=hac_lags)
+                        del sample  # before the next cell's series, so peak holds one
+                        cell = HeatmapCell(pair, target, horizon, model,
+                                           beta1=float(fit.beta[1]),
+                                           stars=significance(float(fit.t_stat[1]), fit.n, fit.k))
                     except FlowcastError as exc:
-                        cells.append(HeatmapCell(
-                            pair=pair, target=target, horizon=horizon, model=model,
-                            beta1=None, stars="", sign=SIGN_INSIGNIFICANT,
-                            error=f"{type(exc).__name__}: {exc}"))
+                        cell = HeatmapCell(pair, target, horizon, model,
+                                           error=f"{type(exc).__name__}: {exc}")
+                    cells.append(cell)
     return cells
-
-
-def daily_weekly_grid(data: MarketData,
-                      pairs: Sequence[tuple[Asset, Asset]] = DEFAULT_PAIRS,
-                      models: Sequence[str] = MODELS,
-                      min_obs: int = DEFAULT_MIN_OBS,
-                      hac_lags: int | None = None) -> list[HeatmapCell]:
-    """Volatility-forecasting cells at the daily and weekly horizons."""
-    return run_grid(data, horizons=DAILY_WEEKLY_HORIZONS, pairs=pairs,
-                    targets=(TARGET_VOLATILITY,), models=models,
-                    min_obs=min_obs, hac_lags=hac_lags)
 
 
 def split_evaluate(sample: AlignedSample,
@@ -438,8 +428,9 @@ _CELL_VALUES = (("target", TARGETS),
 
 def grid_from_json(text: str, source: str = "grid") -> list[HeatmapCell]:
     """The cells of a ``grid_to_json`` text. Text that is not JSON, or not a
-    list of cells whose fields have the right types and allowed values,
-    raises ValidationError naming ``source``."""
+    list of cells whose fields have the right types and allowed values and
+    whose sign is the one ``beta1`` and ``stars`` give, raises
+    ValidationError naming ``source``."""
     cells = []
     try:
         for d in json.loads(text):
@@ -450,17 +441,22 @@ def grid_from_json(text: str, source: str = "grid") -> list[HeatmapCell]:
                 model=d["model"],
                 beta1=d["beta1"],
                 stars=d["stars"],
-                sign=d["sign"],
                 error=d.get("error"))
             if len(d["pair"]) != 2:
                 raise ValueError(f"pair {d['pair']!r} does not have two members")
             for name, allowed in _CELL_VALUES:
                 if d[name] not in allowed:
                     raise ValueError(f"{name} {d[name]!r} is not one of {allowed}")
+            # bool is an int, but true is not an hour.
+            if type(d["horizon_hours"]) not in (int, float):
+                raise TypeError(f"horizon_hours {d['horizon_hours']!r} is not a number")
             if cell.horizon <= timedelta(0):
                 raise ValueError(f"horizon_hours {d['horizon_hours']!r} is not a positive duration")
             if not (cell.beta1 is None or type(cell.beta1) in (int, float)):
                 raise TypeError(f"beta1 {cell.beta1!r} is not a number")
+            if d["sign"] != cell.sign:
+                raise ValueError(f"sign {d['sign']!r} disagrees with beta1 {cell.beta1!r} "
+                                 f"and stars {cell.stars!r}")
             if not isinstance(cell.error, (str, type(None))):
                 raise TypeError("error must be a string")
             cells.append(cell)

@@ -109,6 +109,8 @@ class SynthConfig:
 
     def __post_init__(self):
         _check_finite(self)
+        if self.seed < 0:
+            raise InvalidConfig(f"seed must be >= 0, got {self.seed}")
         if self.hours < 100:
             raise InvalidConfig(f"hours must be >= 100, got {self.hours}")
         if self.noise_sd < 0 or self.flow_sd_musd < 0 or self.vol_noise_sd < 0:
@@ -120,11 +122,11 @@ class SynthConfig:
         sub_s = int(self.sub_frequency.total_seconds())
         if sub_s <= 0 or 3600 % sub_s != 0:
             raise InvalidConfig("sub_frequency must divide one hour")
-        vh, rest = divmod(self.vol_horizon.total_seconds(), 3600)
-        if vh <= 0 or rest != 0:
+        vh, rest = divmod(self.vol_horizon, HOUR)
+        if vh <= 0 or rest:
             raise InvalidConfig("vol_horizon must be a whole number of hours")
         if self.hours % vh != 0:
-            raise InvalidConfig(f"hours={self.hours} is not a multiple of the {vh:g}h vol horizon")
+            raise InvalidConfig(f"hours={self.hours} is not a multiple of the {vh}h vol horizon")
 
 
 def gen_flows(seq: np.random.SeedSequence, hours: int, flow_sd_musd: float,

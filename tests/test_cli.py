@@ -99,6 +99,13 @@ def test_a_far_bar_adds_its_gaps_and_leaves_the_grid(dataset, tmp_path, capsys):
     assert grids[0] == grids[1]
 
 
+def test_ingest_check_counts_a_header_only_flows_file(tmp_path, capsys):
+    flows = tmp_path / "flows.csv"
+    flows.write_text("timestamp,asset,inflow_usd,outflow_usd\n")
+    assert main(["ingest-check", "--flows", str(flows)]) == 0
+    assert capsys.readouterr().out == "flows: 0 rows\n"
+
+
 def test_ingest_check_requires_input():
     assert main(["ingest-check"]) == 2
 
@@ -207,6 +214,30 @@ def test_regress_daily_weekly_grid(dataset, tmp_path):
     assert all(c["target"] == "volatility" for c in cells)
     # 400 hours cover only 16 days, so these cells are marked, not fatal
     assert all("error" in c for c in cells)
+
+
+def test_regress_daily_weekly_grid_takes_the_models(dataset, tmp_path, capsys):
+    out = tmp_path / "gridw"
+    code = main(["regress", "--flows", str(dataset / "flows.csv"),
+                 "--bars-eth", str(dataset / "bars_eth.csv"),
+                 "--bars-btc", str(dataset / "bars_btc.csv"),
+                 "--models", "single", "--daily-weekly", "--out", str(out)])
+    assert code == 0
+    cells = json.loads((out / "grid_daily_weekly.json").read_text())
+    assert len(cells) == 8  # 4 pairs x volatility x {24h, 168h} x single
+    assert all(c["model"] == "single" for c in cells)
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        f"wrote 8 daily/weekly cells (8 failed) to {out}")
+
+
+def test_regress_takes_a_hac_lag_count_past_float_range(dataset, tmp_path):
+    out = tmp_path / "grid"
+    code = main(["regress", "--flows", str(dataset / "flows.csv"),
+                 "--bars-eth", str(dataset / "bars_eth.csv"),
+                 "--bars-btc", str(dataset / "bars_btc.csv"),
+                 "--hac-lags", "1" + "0" * 400, "--out", str(out)])
+    assert code == 0
+    assert len(json.loads((out / "grid.json").read_text())) == 80
 
 
 def test_regress_subset_horizons(dataset, tmp_path):
@@ -421,10 +452,11 @@ def test_validation_error_exit_code(tmp_path, capsys):
     (["--iv-base", "nan"], "iv_base must be finite, got nan"),
     (["--iv-base", "inf"], "iv_base must be finite, got inf"),
     (["--iv-flow-beta", "-inf"], "iv_flow_beta must be finite, got -inf"),
+    (["--seed", "-1"], "seed must be >= 0, got -1"),
 ], ids=["noise-sd", "sub-frequency-zero", "sub-frequency-negative", "iv-base-zero",
         "iv-base-negative", "usdt-eth-ret-nan", "eth-eth-ret-inf", "usdt-btc-ret-negative-inf",
         "btc-btc-vol-nan", "return-ar-inf", "noise-sd-nan", "noise-sd-inf", "iv-base-nan",
-        "iv-base-inf", "iv-flow-beta-negative-inf"])
+        "iv-base-inf", "iv-flow-beta-negative-inf", "seed-negative"])
 def test_synth_rejects_a_bad_flag_before_drawing(tmp_path, capsys, monkeypatch, flags, message):
     def drawn(*args, **kwargs):
         raise AssertionError("gen_market ran before the flags were checked")
@@ -442,6 +474,16 @@ def test_synth_refuses_a_sub_frequency_too_long_for_a_duration(tmp_path, capsys)
             "--out", str(out)]
     assert main(argv) == 2
     assert ("'--sub-frequency-minutes': 10000000000000 is not in the range x<=1439999999999"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("hours", ["99999999999999999999", "1" + "0" * 400],
+                         ids=["past-numpy-dimension", "past-float-range"])
+def test_synth_refuses_hours_too_long_for_a_duration(tmp_path, capsys, hours):
+    out = tmp_path / "data"
+    assert main(["synth", "--seed", "1", "--hours", hours, "--out", str(out)]) == 2
+    assert (f"'--hours': {hours} is not in the range x<=23999999999"
             in capsys.readouterr().err)
     assert not out.exists()
 
@@ -614,10 +656,14 @@ def _one_cell(**fields) -> bytes:
     (_one_cell(horizon_hours=float("inf")), "cannot convert float infinity"),
     (_one_cell(horizon_hours=float("nan")), "cannot convert float NaN"),
     (_one_cell(stars="nonsense"), "stars 'nonsense' is not one of"),
+    (_one_cell(horizon_hours=True), "horizon_hours True is not a number"),
     (_one_cell(sign="up"), "sign 'up' is not one of"),
+    (_one_cell(beta1=0.5, stars="***", sign="negative"),
+     "sign 'negative' disagrees with beta1 0.5 and stars '***'"),
     (_one_cell(beta1="oops"), "beta1 'oops' is not a number"),
 ], ids=["pair-one", "pair-three", "target", "model", "horizon-negative", "horizon-zero",
-        "horizon-inf", "horizon-nan", "stars", "sign", "beta1"])
+        "horizon-inf", "horizon-nan", "stars", "horizon-bool", "sign", "sign-disagrees",
+        "beta1"])
 def test_grid_cell_with_a_bad_value_is_a_validation_error(tmp_path, capsys, data, reason):
     bad = tmp_path / "bad.json"
     bad.write_bytes(data)

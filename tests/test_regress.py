@@ -17,8 +17,9 @@ from flowcast.regress import (
     DEFAULT_PAIRS,
     MODEL_DOUBLE,
     MODEL_SINGLE,
+    DAILY_WEEKLY_HORIZONS,
+    TARGET_VOLATILITY,
     MarketData,
-    daily_weekly_grid,
     design_matrix,
     grid_from_json,
     grid_to_json,
@@ -184,6 +185,14 @@ def test_newey_west_stops_at_the_sample(rng):
     assert np.isfinite(fit.se).all()
 
 
+def test_newey_west_takes_a_lag_count_past_float_range(rng):
+    # Every weight 1 - j/(lags + 1) rounds to 1.0 at both lag counts.
+    x = rng.normal(size=60)
+    sample = sample_from(x, 0.5 * x + rng.normal(size=60))
+    assert _fit_bytes(ols_fit(sample, hac_lags=10**400)) == _fit_bytes(
+        ols_fit(sample, hac_lags=2**60))
+
+
 # ---------------------------------------------------------------------------
 # significance
 # ---------------------------------------------------------------------------
@@ -337,6 +346,18 @@ def test_sign_classification_rules():
     assert classify_sign(0.0, "***") == "insignificant"
 
 
+def test_a_cell_derives_its_sign_from_beta1_and_stars():
+    from flowcast.regress import HeatmapCell
+    cell = HeatmapCell((Asset.ETH, Asset.ETH), "return", H1, MODEL_SINGLE,
+                       beta1=-0.5, stars="**")
+    assert cell.sign == "negative"
+    cell.stars = ""
+    assert cell.sign == "insignificant"
+    failed = HeatmapCell((Asset.ETH, Asset.ETH), "return", H1, MODEL_SINGLE,
+                         error="TooFewObservations: n=2 below minimum 30")
+    assert (failed.beta1, failed.stars, failed.sign) == (None, "", "insignificant")
+
+
 # ---------------------------------------------------------------------------
 # grid
 # ---------------------------------------------------------------------------
@@ -444,7 +465,8 @@ def test_daily_grid_recovers_planted_volatility():
                       init_price=30000.0)
     flows, bars = gen_flows_and_prices(cfg)
     data = MarketData(flows={Asset.BTC: flows}, bars={Asset.BTC: bars})
-    cells = daily_weekly_grid(data, pairs=((Asset.BTC, Asset.BTC),))
+    cells = run_grid(data, horizons=DAILY_WEEKLY_HORIZONS, pairs=((Asset.BTC, Asset.BTC),),
+                     targets=(TARGET_VOLATILITY,))
     assert len(cells) == 4
     daily_single = next(c for c in cells if c.horizon == timedelta(hours=24)
                         and c.model == MODEL_SINGLE)
@@ -456,7 +478,8 @@ def test_weekly_too_few_observations_marked():
     cfg = SynthConfig(seed=3, hours=24 * 100, asset=Asset.BTC)  # ~14 weeks
     flows, bars = gen_flows_and_prices(cfg)
     data = MarketData(flows={Asset.BTC: flows}, bars={Asset.BTC: bars})
-    cells = daily_weekly_grid(data, pairs=((Asset.BTC, Asset.BTC),))
+    cells = run_grid(data, horizons=DAILY_WEEKLY_HORIZONS, pairs=((Asset.BTC, Asset.BTC),),
+                     targets=(TARGET_VOLATILITY,))
     weekly = [c for c in cells if c.horizon == timedelta(hours=168)]
     assert all(c.error is not None and "TooFewObservations" in c.error
                for c in weekly)

@@ -245,12 +245,14 @@ def test_invalid_configs_rejected():
         (dict(hours=100, noise_sd=-1.0), dict(hours=100, plants=GridPlants(noise_sd=-1.0))),
         (dict(hours=100, sub_frequency=seven_minutes),
          dict(hours=100, sub_frequency=seven_minutes)),
+        (dict(seed=-1, hours=100), dict(seed=-1, hours=100)),
     ]:
         with pytest.raises(errors.InvalidConfig) as single:
-            gen_flows_and_prices(SynthConfig(seed=1, **fields))
+            gen_flows_and_prices(SynthConfig(**{"seed": 1, **fields}))
         with pytest.raises(errors.InvalidConfig) as multi:
-            gen_market(1, **market)
+            gen_market(**{"seed": 1, **market})
         assert str(multi.value) == str(single.value)
+    assert str(single.value) == "seed must be >= 0, got -1"
     with pytest.raises(errors.InvalidConfig,
                        match="^hours=101 is not a multiple of the 2h vol horizon$"):
         gen_flows_and_prices(SynthConfig(seed=1, hours=101, vol_horizon=timedelta(hours=2)))
