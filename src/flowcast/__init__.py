@@ -43,7 +43,6 @@ from .regress import (
     ols_fit,
     run_grid,
     significance,
-    split_evaluate,
 )
 from .series import (
     AlignedSample,
@@ -72,7 +71,7 @@ __all__ = [
     "NetInflowSeries", "ReturnSeries", "VolSeries", "AlignedSample",
     "net_inflows", "returns", "realized_vol", "align",
     "OlsFit", "HeatmapCell", "MarketData", "ols_fit", "significance",
-    "run_grid", "split_evaluate",
+    "run_grid",
     "EventHit", "detect_extremes", "extract_window", "threshold_percentile",
     "CostParams", "TradeOutcome", "BucketKey", "BucketStats", "call_price",
     "trade", "net_pnl", "breakeven_slippage", "otm_range", "initial_capital",

@@ -355,43 +355,6 @@ def run_grid(data: MarketData,
     return cells
 
 
-def split_evaluate(sample: AlignedSample,
-                   split_fraction: float) -> tuple[OlsFit, float]:
-    """Chronological split: fit on the head, score R^2 on the tail.
-
-    Out-of-sample R^2 is 1 - SSE_pred/SST_test on the later segment, using
-    coefficients estimated on the earlier one.
-    """
-    if not 0.0 < split_fraction < 1.0:
-        raise InvalidConfig(f"split_fraction must be in (0, 1), got {split_fraction}")
-    n = sample.n
-    n_train = int(math.floor(split_fraction * n))
-    n_test = n - n_train
-    k = 1 if sample.control is None else 2
-    if n_train < k + 2 or n_test < k + 2:
-        raise TooFewObservations(
-            f"split {n_train}/{n_test} leaves a segment below {k + 2} rows")
-
-    def _slice(lo, hi):
-        ctrl = sample.control[lo:hi] if sample.control is not None else None
-        return AlignedSample(timestamps=sample.timestamps[lo:hi],
-                             predictor=sample.predictor[lo:hi],
-                             response=sample.response[lo:hi],
-                             control=ctrl, horizon=sample.horizon)
-
-    train, test = _slice(0, n_train), _slice(n_train, n)
-    fit = ols_fit(train)
-    X_test, y_test = design_matrix(test)
-    pred = X_test @ fit.beta
-    sse = float(np.sum((y_test - pred) ** 2))
-    sst = float(np.sum((y_test - y_test.mean()) ** 2))
-    if sst > 0:
-        oos_r2 = 1.0 - sse / sst
-    else:
-        oos_r2 = 1.0 if sse == 0 else float("nan")
-    return fit, oos_r2
-
-
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
@@ -428,9 +391,11 @@ _CELL_VALUES = (("target", TARGETS),
 
 def grid_from_json(text: str, source: str = "grid") -> list[HeatmapCell]:
     """The cells of a ``grid_to_json`` text. Text that is not JSON, or not a
-    list of cells whose fields have the right types and allowed values and
-    whose sign is the one ``beta1`` and ``stars`` give, raises
-    ValidationError naming ``source``."""
+    list of cells whose fields have the right types and allowed values,
+    raises ValidationError naming ``source``; so does a cell that is neither
+    fitted (a number ``beta1``, no ``error``, stars only on a beta1 that is
+    not NaN) nor failed (an ``error``, beta1 null and no stars), or whose
+    sign is not the one ``beta1`` and ``stars`` give."""
     cells = []
     try:
         for d in json.loads(text):
@@ -454,11 +419,18 @@ def grid_from_json(text: str, source: str = "grid") -> list[HeatmapCell]:
                 raise ValueError(f"horizon_hours {d['horizon_hours']!r} is not a positive duration")
             if not (cell.beta1 is None or type(cell.beta1) in (int, float)):
                 raise TypeError(f"beta1 {cell.beta1!r} is not a number")
+            if not isinstance(cell.error, (str, type(None))):
+                raise TypeError("error must be a string")
+            if cell.error is None and cell.beta1 is None:
+                raise ValueError("a cell with no error has beta1 null")
+            if cell.error is not None and (cell.beta1 is not None or cell.stars):
+                raise ValueError(f"a failed cell has beta1 {cell.beta1!r} "
+                                 f"and stars {cell.stars!r}")
+            if cell.stars and math.isnan(cell.beta1):
+                raise ValueError(f"stars {cell.stars!r} on a NaN beta1")
             if d["sign"] != cell.sign:
                 raise ValueError(f"sign {d['sign']!r} disagrees with beta1 {cell.beta1!r} "
                                  f"and stars {cell.stars!r}")
-            if not isinstance(cell.error, (str, type(None))):
-                raise TypeError("error must be a string")
             cells.append(cell)
     except (ValueError, TypeError, KeyError, IndexError, OverflowError, RecursionError) as exc:
         raise ValidationError(f"{source}: not a heatmap grid ({exc})") from None

@@ -8,8 +8,12 @@ inflows are i.i.d. normal, next-hour returns follow
 and sub-bar return dispersion inside each volatility bucket scales as
 ``vol_base + sum_a vol_beta_a * netinflow_a(previous bucket)``, floored
 at a small positive constant. Sub-bars are constructed to compound
-*exactly* to the planted hourly return, so the return and volatility
-channels can be planted independently. Both AR(1) terms (``b2``, and
+*exactly* to the planted hourly return. The two channels are not
+independent: each sub-bar factor is ``g * c * (1 + u)`` with
+``g = (1 + r)**(1/nsub)``, so an hour's sub-return spread scales with its
+own return r, and a return plant ``beta`` also plants a 1 h volatility
+slope of about ``beta/nsub`` of the mean volatility (``beta/12`` for
+5-minute sub-bars). Both AR(1) terms (``b2``, and
 ``vol_ar`` on the dispersion) run ``y[i] = x[i] + b * y[i-1]`` from rest
 in Python floats, bit for bit ``scipy.signal.lfilter([1], [1, -b], x)``.
 

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import jsonschema
@@ -186,6 +187,10 @@ def test_regress_loads_no_scipy(dataset, tmp_path):
 def test_every_public_name_resolves():
     assert [name for name in flowcast.__all__ if not hasattr(flowcast, name)] == []
     assert len(set(flowcast.__all__)) == len(flowcast.__all__)
+    # An import left behind when its export is dropped is a stale name.
+    bound = {name for name, value in vars(flowcast).items()
+             if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert set(flowcast.__all__) == bound
 
 
 def test_regress_full_grid(dataset, tmp_path):
@@ -661,9 +666,14 @@ def _one_cell(**fields) -> bytes:
     (_one_cell(beta1=0.5, stars="***", sign="negative"),
      "sign 'negative' disagrees with beta1 0.5 and stars '***'"),
     (_one_cell(beta1="oops"), "beta1 'oops' is not a number"),
+    (_one_cell(beta1=None, stars="***"), "a cell with no error has beta1 null"),
+    (_one_cell(beta1=float("nan"), stars="***", sign="negative"),
+     "stars '***' on a NaN beta1"),
+    (_one_cell(beta1=0.5, error="TooFewObservations: n=1 below minimum 30"),
+     "a failed cell has beta1 0.5 and stars ''"),
 ], ids=["pair-one", "pair-three", "target", "model", "horizon-negative", "horizon-zero",
         "horizon-inf", "horizon-nan", "stars", "horizon-bool", "sign", "sign-disagrees",
-        "beta1"])
+        "beta1", "fitted-null-beta1", "starred-nan-beta1", "failed-with-beta1"])
 def test_grid_cell_with_a_bad_value_is_a_validation_error(tmp_path, capsys, data, reason):
     bad = tmp_path / "bad.json"
     bad.write_bytes(data)
