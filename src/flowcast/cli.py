@@ -222,7 +222,8 @@ def ingest_check(flows, bars, bar_frequency_minutes, options_path):
               help="Also write the 24h/168h volatility grid.")
 @click.option("--hac-lags", type=click.IntRange(min=0), default=None,
               help="Newey-West lag count; omit for classical standard errors.")
-@click.option("--min-obs", type=int, default=regress.DEFAULT_MIN_OBS, show_default=True)
+@click.option("--min-obs", type=click.IntRange(min=0), default=regress.DEFAULT_MIN_OBS,
+              show_default=True)
 @click.option("--out", type=_out_dir, required=True)
 def cmd_regress(flows, bars_eth, bars_btc, bar_frequency_minutes, horizons, pairs,
                 targets, models, daily_weekly, hac_lags, min_obs, out):

@@ -17,8 +17,8 @@ from typing import Iterable
 import numpy as np
 
 from .errors import EmptyYear, FrequencyMismatch, InsufficientCoverage
-from .ingest import (ASSET, INTEGER, NUMBER, TIMESTAMP, Asset, BarSeries, format_timestamp,
-                     to_datetime, write_table)
+from .ingest import (ASSET, INTEGER, NUMBER, TIMESTAMP, Asset, BarSeries, _seconds,
+                     format_timestamp, to_datetime, write_table)
 from .series import HOUR, NetInflowSeries
 
 EVENTS_COLUMNS = (("asset", ASSET), ("timestamp", TIMESTAMP), ("net_inflow_musd", NUMBER),
@@ -123,7 +123,7 @@ def extract_window(event: EventHit, hourly: NetInflowSeries, bars: BarSeries,
     net_inflow_musd = _track(grid, hourly.timestamps, hourly.values, 0, "no net inflow at")
 
     # Hourly close of the hour starting at t = close of the last bar in [t, t+1h).
-    f_s = int(bars.frequency.total_seconds())
+    f_s = _seconds(bars.frequency, "bar frequency")
     if 3600 % f_s != 0:
         raise FrequencyMismatch(f"bar frequency {bars.frequency} does not divide 1h")
     close = _track(grid, bars.timestamps, bars.close, 3600 - f_s, "no bar closing the hour at")

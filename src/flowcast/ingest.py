@@ -62,6 +62,13 @@ def to_datetime(epoch: int | float) -> datetime:
     return datetime.fromtimestamp(int(epoch), tz=timezone.utc)
 
 
+def _seconds(duration: timedelta, name: str = "duration") -> int:
+    s = duration.total_seconds()
+    if s <= 0 or s != int(s):
+        raise FrequencyMismatch(f"{name} must be a positive whole-second duration")
+    return int(s)
+
+
 def format_number(x: float) -> str:
     """Canonical decimal text for a float (shortest round-trip form)."""
     return repr(float(x))
@@ -423,9 +430,7 @@ def parse_bars(path: str | Path, frequency: timedelta,
     Returns the sorted bars together with the number of bars missing
     between the first and the last (gaps). Gaps are never filled.
     """
-    freq_s = int(frequency.total_seconds())
-    if freq_s <= 0:
-        raise FrequencyMismatch(f"non-positive frequency {frequency}")
+    freq_s = _seconds(frequency, "bar frequency")
     ts, open_, high, low, close = read_table(path, BARS)
     off_grid = np.flatnonzero((ts - ts[:1]) % freq_s)
     if len(off_grid):

@@ -41,17 +41,10 @@ from .errors import (
     InvalidConfig,
     MixedAssets,
 )
-from .ingest import Asset, BarSeries, FlowSeries, format_timestamp
+from .ingest import Asset, BarSeries, FlowSeries, _seconds, format_timestamp
 
 HOUR = timedelta(hours=1)
 USD_PER_MUSD = 1e6
-
-
-def _seconds(duration: timedelta, name: str = "duration") -> int:
-    s = duration.total_seconds()
-    if s <= 0 or s != int(s):
-        raise FrequencyMismatch(f"{name} must be a positive whole-second duration")
-    return int(s)
 
 
 class _BucketGrid(NamedTuple):

