@@ -102,9 +102,13 @@ def extract_window(event: EventHit, hourly: NetInflowSeries, bars: BarSeries,
                    pre: timedelta, post: timedelta) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(hours, net_inflow_musd, close) over [event-pre, event+post]: each
     hour's epoch second, the event asset's net inflow in it (US$M) and the
-    close of its last bar (USD)."""
+    close of its last bar (USD). ``pre`` and ``post`` must be non-negative
+    whole hours."""
     if pre < timedelta(0) or post < timedelta(0):
         raise InsufficientCoverage("pre and post must be non-negative")
+    for name, span in (("pre", pre), ("post", post)):
+        if span % HOUR:
+            raise InsufficientCoverage(f"{name} {span} is not a whole number of hours")
     if hourly.asset != event.asset:
         raise InsufficientCoverage(f"no flows for {event.asset.value}")
     if hourly.horizon != HOUR:

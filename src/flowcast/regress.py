@@ -5,10 +5,12 @@
     y_{t+h} = b0 + b1 * netinflow_t (+ b2 * y_t) + e_{t+h}
 
 with classical homoskedastic standard errors by default (Newey-West
-covariance is available behind ``hac_lags``). ``run_grid`` sweeps
-(predictor asset -> response asset) pairs, targets, horizons, and model
-variants into a heatmap of signed-significance cells, mirroring the
-summary-table layout used in the reports.
+covariance is available behind ``hac_lags``), by Gram-Schmidt on the
+centred columns. It calls no BLAS or LAPACK routine, whose summation order
+depends on the CPU's kernel, so a grid's bits are the same on every CPU.
+``run_grid`` sweeps (predictor asset -> response asset) pairs, targets,
+horizons, and model variants into a heatmap of signed-significance cells,
+mirroring the summary-table layout used in the reports.
 
 A cell's stars are those of scipy's Student-t p (``two_sided_p``), but
 ``significance`` computes p in pure Python and imports scipy only for a p
@@ -100,11 +102,13 @@ class OlsFit:
     def predict(self, x) -> float:
         """Fitted value for one regressor row ``x`` (no intercept column); a
         one-regressor fit also takes ``x`` as a scalar."""
-        return float(self.beta[0] + np.atleast_1d(x) @ self.beta[1:])
+        terms = zip(np.atleast_1d(x).tolist(), self.beta[1:].tolist(), strict=True)
+        return float(self.beta[0]) + sum(xi * b for xi, b in terms)
 
 
 def design_matrix(sample: AlignedSample) -> tuple[np.ndarray, np.ndarray]:
-    """``X`` = [1, predictor (, control)] column by column, and ``y``."""
+    """``X`` = [1, predictor (, control)] column by column, and ``y``. The
+    fit does not build it; it is the textbook form of the same model."""
     X = np.empty((sample.n, 2 if sample.control is None else 3))
     X[:, 0] = 1.0
     X[:, 1] = sample.predictor
@@ -113,57 +117,118 @@ def design_matrix(sample: AlignedSample) -> tuple[np.ndarray, np.ndarray]:
     return X, np.asarray(sample.response, dtype=np.float64)
 
 
-def _newey_west_cov(X: np.ndarray, resid: np.ndarray, lags: int) -> np.ndarray:
-    xe = X * resid[:, None]
-    S = xe.T @ xe
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """sum(a * b) by ``np.add.reduce``, whose pairwise order is fixed in
+    numpy's C source; a BLAS dot sums in the order of the CPU's kernel."""
+    return float(np.add.reduce(a * b))
+
+
+def _mean(a: np.ndarray) -> float:
+    return float(np.add.reduce(a)) / len(a)
+
+
+def _newey_west_meat(scores: list[np.ndarray], lags: int) -> list[list[float]]:
+    """sum_t s_t s_t' plus the Bartlett-weighted lag terms, for the score
+    columns ``scores`` (each design column times the residuals)."""
+    S = [[_dot(a, b) for b in scores] for a in scores]
     # A lag of n or more pairs no rows; its term would add 0.0.
-    for j in range(1, min(lags, len(xe) - 1) + 1):
+    for j in range(1, min(lags, len(scores[0]) - 1) + 1):
         # Exact int division: lags + 1.0 overflows past float range.
         w = 1.0 - j / (lags + 1)
-        G = xe[j:].T @ xe[:-j]
-        S += w * (G + G.T)
-    xtx_inv = np.linalg.inv(X.T @ X)
-    return xtx_inv @ S @ xtx_inv
+        G = [[_dot(a[j:], b[:-j]) for b in scores] for a in scores]
+        for a, row in enumerate(S):
+            for b in range(len(row)):
+                row[b] += w * (G[a][b] + G[b][a])
+    return S
 
 
 def ols_fit(sample: AlignedSample, hac_lags: int | None = None) -> OlsFit:
-    """Fit the regression by the normal equations.
+    """Fit the regression by modified Gram-Schmidt, the intercept removed by
+    centring.
 
-    Raises TooFewObservations when n < k + 2 and RankDeficient when the
-    design matrix loses full column rank.
+    With ``xc = x - xbar`` and ``yc = y - ybar``, ``b1 = sum(xc*yc) /
+    sum(xc*xc)``. In the double model the centred control ``cc`` is first
+    taken against the predictor: ``cp = cc - r*xc`` with ``r = sum(xc*cc) /
+    sum(xc*xc)``; then ``b2 = sum(cp*yc) / sum(cp*cp)`` and ``b1 =
+    sum(xc*yc) / sum(xc*xc) - r*b2``. The residuals are built from these, so
+    an exact fit gets se 0. (X'X)^-1 comes from the same sums, as
+    T^-1 D^-1 (T^-1)' with T the unit upper-triangular factor (xbar, cbar, r)
+    and D = (n, sum(xc*xc), sum(cp*cp)). The sample is touched only by numpy
+    elementwise ops and ``np.add.reduce``, and the 2x2 or 3x3 algebra is
+    done in Python floats, so no BLAS or LAPACK routine runs and the bits do
+    not depend on the CPU.
+
+    Raises TooFewObservations when n < k + 2, and RankDeficient when a
+    column's diagonal entry of R (|xc| or |cp|) is at most max(n, p)*eps
+    times that column's norm.
     """
-    X, y = design_matrix(sample)
-    n, p = X.shape
+    x = np.asarray(sample.predictor, dtype=np.float64)
+    y = np.asarray(sample.response, dtype=np.float64)
+    n, p = sample.n, 2 if sample.control is None else 3
     k = p - 1
     if n < k + 2:
         raise TooFewObservations(f"n={n} but need at least {k + 2} rows for k={k}")
-    sv = np.linalg.svd(X, compute_uv=False)
-    if sv[-1] <= sv[0] * max(n, p) * np.finfo(np.float64).eps:
-        raise RankDeficient("design matrix is rank deficient")
+    # The rank check compares squares, and takes a column's squared norm
+    # from sums already made: |v|^2 = sum((v - vbar)^2) + n*vbar^2.
+    tol2 = (max(n, p) * np.finfo(np.float64).eps) ** 2
 
-    xtx = X.T @ X
-    beta = np.linalg.solve(xtx, X.T @ y)
-    resid = y - X @ beta
-    sse = float(resid @ resid)
+    xbar = _mean(x)
+    xc = x - xbar
+    sxx = _dot(xc, xc)
+    if sxx <= tol2 * (sxx + n * xbar * xbar):
+        raise RankDeficient("design matrix is rank deficient")
+    ybar = _mean(y)
+    yc = y - ybar
+    columns = [x]
+    if sample.control is None:
+        b1 = _dot(xc, yc) / sxx
+        resid = yc - b1 * xc
+        beta = [ybar - b1 * xbar, b1]
+        xtx_inv = [[1.0 / n + xbar * xbar / sxx, -xbar / sxx],
+                   [-xbar / sxx, 1.0 / sxx]]
+    else:
+        c = np.asarray(sample.control, dtype=np.float64)
+        cbar = _mean(c)
+        cc = c - cbar
+        r = _dot(xc, cc) / sxx
+        cp = cc - r * xc
+        spp = _dot(cp, cp)
+        # sum(cc*cc) = sum(cp*cp) + r^2 * sum(xc*xc)
+        if spp <= tol2 * (spp + r * r * sxx + n * cbar * cbar):
+            raise RankDeficient("design matrix is rank deficient")
+        b2 = _dot(cp, yc) / spp
+        b1 = _dot(xc, yc) / sxx - r * b2
+        resid = yc - b1 * xc - b2 * cc
+        beta = [ybar - b1 * xbar - b2 * cbar, b1, b2]
+        # The intercept row of T^-1 is (1, -xbar, -d).
+        d = cbar - r * xbar
+        v01, v02, v12 = -xbar / sxx + d * r / spp, -d / spp, -r / spp
+        xtx_inv = [[1.0 / n + xbar * xbar / sxx + d * d / spp, v01, v02],
+                   [v01, 1.0 / sxx + r * r / spp, v12],
+                   [v02, v12, 1.0 / spp]]
+        columns.append(c)
+    sse = _dot(resid, resid)
     dof = n - p
     if hac_lags is None:
-        cov = (sse / dof) * np.linalg.inv(xtx)
+        var = [(sse / dof) * xtx_inv[i][i] for i in range(p)]
     else:
         if hac_lags < 0:
             raise InvalidConfig(f"hac_lags must be >= 0, got {hac_lags}")
-        cov = _newey_west_cov(X, resid, hac_lags)
-    se = np.sqrt(np.maximum(np.diag(cov), 0.0))
+        S = _newey_west_meat([resid] + [col * resid for col in columns], hac_lags)
+        # The diagonal of (X'X)^-1 S (X'X)^-1.
+        var = [sum(sum(xtx_inv[i][a] * S[a][b] for a in range(p)) * xtx_inv[b][i]
+                   for b in range(p)) for i in range(p)]
+    se = np.sqrt(np.maximum(var, 0.0))
 
     # A zero (or NaN) standard error gives t = 0 for a zero coefficient and
     # +-inf (NaN for a NaN one) otherwise.
     t_stat = np.array([b / s if s > 0 else 0.0 if b == 0 else b * math.inf
-                       for b, s in zip(beta.tolist(), se.tolist())])
+                       for b, s in zip(beta, se.tolist())])
 
-    dev = y - y.sum() / n
-    sst = float((dev * dev).sum())
+    sst = _dot(yc, yc)
     r2 = 1.0 - sse / sst if sst > 0 else 0.0
     r2_adj = 1.0 - (1.0 - r2) * (n - 1) / dof
-    return OlsFit(beta=beta, se=se, t_stat=t_stat, r2_adj=r2_adj, n=n)
+    return OlsFit(beta=np.array(beta), se=se, t_stat=t_stat, r2_adj=r2_adj, n=n)
 
 
 def two_sided_p(t_stat: float, df: int) -> float:

@@ -161,6 +161,16 @@ def _ar1(x: np.ndarray, b: float) -> np.ndarray:
     return np.array(out, dtype=np.float64)
 
 
+def _ar1_unless_zero(x: np.ndarray, b: float) -> np.ndarray:
+    """``_ar1(x, b)``, or ``x`` itself for b == 0 on finite x: ``_ar1`` then
+    returns x but for the sign of a zero, which the caller's ``1.0 + r`` or
+    ``vol_base + v`` drops. (A non-finite x[i] makes ``_ar1``'s later terms
+    NaN.)"""
+    if b == 0.0 and np.isfinite(x).all():
+        return x
+    return _ar1(x, b)
+
+
 def gen_price_bars(seq: np.random.SeedSequence, cfg: SynthConfig,
                    flows: Mapping[Asset, FlowSeries],
                    return_betas: Mapping[Asset, float],
@@ -180,7 +190,7 @@ def gen_price_bars(seq: np.random.SeedSequence, cfg: SynthConfig,
     for a, b in return_betas.items():
         if b != 0.0:
             driver[1:] += b * net[a][:-1]
-    hourly_ret = np.maximum(_ar1(driver, cfg.beta2), _RETURN_CLIP)
+    hourly_ret = np.maximum(_ar1_unless_zero(driver, cfg.beta2), _RETURN_CLIP)
 
     # Per-bucket sub-bar dispersion driven by the previous bucket's net flow.
     nb = hours // vh
@@ -191,7 +201,8 @@ def gen_price_bars(seq: np.random.SeedSequence, cfg: SynthConfig,
         if b != 0.0:
             bucket_flow = net[a].reshape(nb, vh).sum(axis=1)
             vol_drive[1:] += b * bucket_flow[:-1]
-    sigma = np.maximum(cfg.vol_base + _ar1(vol_drive, cfg.vol_ar), cfg.vol_floor)
+    sigma = np.maximum(cfg.vol_base + _ar1_unless_zero(vol_drive, cfg.vol_ar),
+                       cfg.vol_floor)
     sigma_hour = np.repeat(sigma, vh)
 
     # Sub-bars compound exactly to the hourly gross return.

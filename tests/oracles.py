@@ -11,8 +11,8 @@ schemas and the scalar converters and checks (``check_row``) with the
 package, and re-implements the reading loop and the order of its faults.
 ``reference_align`` is the timestamp-matching ``align``: it shares the
 sample type and the errors with the package. ``reference_ols_fit`` is the
-earlier ``ols_fit`` kept verbatim, with its ``column_stack`` design
-matrix: it shares ``OlsFit``, the errors and the Newey-West covariance.
+Gram-Schmidt fit built column by column over the design matrix: it shares
+``OlsFit``, the errors and numpy's row sums with the package.
 ``reference_option_chain`` is the per-hour synthetic call chain, priced one
 quote at a time by the scalar ``reference_black_scholes_call``; it shares
 only ``QuoteSeries``.
@@ -153,48 +153,107 @@ def ols_reference(X, y):
     return beta, se, r2_adj
 
 
-def _newey_west_every_lag(X, resid, lags):
-    """The Newey-West covariance summed over every lag up to ``lags``, also
-    those of n or more, whose empty products add 0.0."""
-    xe = X * resid[:, None]
-    S = xe.T @ xe
-    for j in range(1, lags + 1):
-        w = 1.0 - j / (lags + 1.0)
-        G = xe[j:].T @ xe[:-j]
-        S += w * (G + G.T)
-    xtx_inv = np.linalg.inv(X.T @ X)
-    return xtx_inv @ S @ xtx_inv
+def _row_sum(a):
+    """The sum over rows by numpy's pairwise ``np.add.reduce``, as the package
+    takes every such sum, so that the two fits agree to the byte."""
+    return float(np.add.reduce(a))
 
 
 def reference_ols_fit(sample, hac_lags=None):
-    """``ols_fit`` as it was before it built ``X`` in place, computed
-    ``t_stat`` and ``sst`` without ``np.errstate``, ``np.where`` and
-    ``np.mean``, and stopped the Newey-West sum at the sample; every field
-    of its result must match to the byte."""
-    cols = [np.ones(sample.n), sample.predictor]
+    """``ols_fit`` built the textbook way, one column at a time, over the
+    columns [1, x (, c)] of the design matrix, where the package writes out
+    its centred formulas for one and for two regressors:
+
+    - unnormalised modified Gram-Schmidt, X = U T with U's columns
+      orthogonal, D[j] = |U_j|^2 and T unit upper-triangular. Taking a column
+      against the ones column multiplies by 1.0, which is exact, so that
+      step is the package's centring;
+    - the response centred, z_j = <U_j, y - mean(y)> / D[j], and the
+      coefficients by back substitution in T;
+    - T^-1 by back substitution, (X'X)^-1 = T^-1 D^-1 T^-T and the
+      Newey-West sandwich in loops, the lag sum over every lag up to
+      ``hac_lags``, also those of n or more, whose empty products add 0.0.
+
+    It shares ``OlsFit`` and the errors with the package, and takes its row
+    sums as the package does; every field of its result must match to the
+    byte. Its rank check holds R's diagonal, sqrt(D[j]), against the column's
+    own norm, where the package takes that norm from its centred sums."""
+    cols = [np.ones(sample.n), np.asarray(sample.predictor, dtype=np.float64)]
     if sample.control is not None:
-        cols.append(sample.control)
-    X, y = np.column_stack(cols), np.asarray(sample.response, dtype=np.float64)
-    n, p = X.shape
+        cols.append(np.asarray(sample.control, dtype=np.float64))
+    y = np.asarray(sample.response, dtype=np.float64)
+    n, p = sample.n, len(cols)
     k = p - 1
     if n < k + 2:
         raise TooFewObservations(f"n={n} but need at least {k + 2} rows for k={k}")
-    sv = np.linalg.svd(X, compute_uv=False)
-    if sv[-1] <= sv[0] * max(n, p) * np.finfo(np.float64).eps:
-        raise RankDeficient("design matrix is rank deficient")
+    tol = max(n, p) * np.finfo(np.float64).eps
 
-    xtx = X.T @ X
-    beta = np.linalg.solve(xtx, X.T @ y)
-    resid = y - X @ beta
-    sse = float(resid @ resid)
+    U, D, centred = [], [], []
+    T = [[1.0 if i == j else 0.0 for j in range(p)] for i in range(p)]
+    for j, col in enumerate(cols):
+        v = col
+        for i in range(j):
+            T[i][j] = _row_sum(U[i] * v) / D[i]
+            v = v - T[i][j] * U[i]
+            if i == 0:
+                centred.append(v)
+        D.append(_row_sum(v * v))
+        if D[j] <= tol * tol * _row_sum(col * col):
+            raise RankDeficient("design matrix is rank deficient")
+        U.append(v)
+
+    z = [_row_sum(y) / D[0]]
+    yc = y - z[0]
+    z += [_row_sum(U[j] * yc) / D[j] for j in range(1, p)]
+    beta = [0.0] * p
+    for j in reversed(range(p)):
+        beta[j] = z[j]
+        for m in range(j + 1, p):
+            beta[j] = beta[j] - T[j][m] * beta[m]
+    resid = yc
+    for j in range(1, p):
+        resid = resid - beta[j] * centred[j - 1]
+    sse = _row_sum(resid * resid)
     dof = n - p
+
+    Tinv = [[1.0 if i == j else 0.0 for j in range(p)] for i in range(p)]
+    for i in reversed(range(p)):
+        for j in range(i + 1, p):
+            acc = 0.0
+            for m in range(i + 1, j + 1):
+                acc += T[i][m] * Tinv[m][j]
+            Tinv[i][j] = -acc
+    inv = [[0.0] * p for _ in range(p)]
+    for a in range(p):
+        for b in range(p):
+            for j in range(max(a, b), p):
+                inv[a][b] += Tinv[a][j] * Tinv[b][j] / D[j]
+
     if hac_lags is None:
-        cov = (sse / dof) * np.linalg.inv(xtx)
+        var = [(sse / dof) * inv[i][i] for i in range(p)]
     else:
         if hac_lags < 0:
             raise InvalidConfig(f"hac_lags must be >= 0, got {hac_lags}")
-        cov = _newey_west_every_lag(X, resid, hac_lags)
-    se = np.sqrt(np.maximum(np.diag(cov), 0.0))
+        s = [col * resid for col in cols]
+        S = [[_row_sum(s[a] * s[b]) for b in range(p)] for a in range(p)]
+        for j in range(1, hac_lags + 1):
+            w = 1.0 - j / (hac_lags + 1.0)
+            G = [[_row_sum(s[a][j:] * s[b][:-j]) for b in range(p)] for a in range(p)]
+            for a in range(p):
+                for b in range(p):
+                    S[a][b] += w * (G[a][b] + G[b][a])
+        var = []
+        for i in range(p):
+            row = [0.0] * p
+            for b in range(p):
+                for a in range(p):
+                    row[b] += inv[i][a] * S[a][b]
+            acc = 0.0
+            for b in range(p):
+                acc += row[b] * inv[b][i]
+            var.append(acc)
+    beta = np.array(beta)
+    se = np.sqrt(np.maximum(var, 0.0))
 
     with np.errstate(divide="ignore", invalid="ignore"):
         t_stat = np.where(se > 0, beta / np.where(se > 0, se, 1.0),

@@ -208,6 +208,16 @@ def test_window_grid_is_bounded_by_the_flows(rng):
         assert str(exc.value) == f"no net inflow at {missing}"
 
 
+@pytest.mark.parametrize("pre,post,name", [
+    (timedelta(minutes=30), timedelta(0), "pre 0:30:00"),
+    (timedelta(0), timedelta(hours=1, seconds=1), "post 1:00:01")])
+def test_window_refuses_a_pre_or_post_off_whole_hours(rng, pre, post, name):
+    hit, series, bars = _event_and_data(rng)
+    with pytest.raises(errors.InsufficientCoverage,
+                       match=f"^{name} is not a whole number of hours$"):
+        extract_window(hit, series, bars, pre=pre, post=post)
+
+
 def test_window_rejects_another_assets_or_horizons_series(rng):
     hit, series, bars = _event_and_data(rng)
     btc = dataclasses.replace(series, asset=Asset.BTC)

@@ -7,9 +7,14 @@ says why.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import flowcast
 from flowcast.cli import main
 from flowcast.regress import grid_to_json, run_grid
 from flowcast.synth import GridPlants, gen_market
@@ -66,15 +71,15 @@ GOLDEN = {
         "events/window_09_prices.csv":
             "17feda0baa37093633c97a186d8bbf97aa06515e4f5375828b75e9c31a8bf110",
         "grid/grid.json":
-            "2a60d3efc8245ea4dd4bbf787c053d3c3091076a39cbde26b0debbf76d727803",
+            "3969d57e18b26bee1f648d40e01f3b500deea5adc1e45e926016f2f73029fe04",
         "grid/grid.tsv":
-            "665fc0652254ef04bb1d1bfc293cf28201185824241aa99f608c03d3ef0fabdc",
+            "0de7a7d2798d67d87fd3a2a2e76f6f494072c5bbc7933ad59819f8b4f0dd5a9a",
         "grid/grid_daily_weekly.json":
             "4bd214424ba51eb3cfc307d760ce17eef2cff2625d97913b00e5143f5219970c",
         "grid/grid_daily_weekly.tsv":
             "c7d250372b626de67be9f4d91d34950ed5da3013ecbc479a0ceab0014597f17e",
         "report/grid.tsv":
-            "665fc0652254ef04bb1d1bfc293cf28201185824241aa99f608c03d3ef0fabdc",
+            "0de7a7d2798d67d87fd3a2a2e76f6f494072c5bbc7933ad59819f8b4f0dd5a9a",
     },
     (1, 2000): {
         "bt/report.tsv":
@@ -126,15 +131,15 @@ GOLDEN = {
         "events/window_09_prices.csv":
             "09ffbd56574c308398c19cd47d77c5895abb26933286c0fb7bccd4f279c8fd6d",
         "grid/grid.json":
-            "5fd46238e4004706f3fa15211b43743d6c1b5df1a312f81b66477586d232bcd2",
+            "35e3987c5e1c00c06bb639ee49827b41c04b9fde6072fa8c795337d448351d3b",
         "grid/grid.tsv":
-            "db60edb16d496e1ecfe5d21d751b20c04653fd8bd983fc111f3b277f377b13a5",
+            "0ced1bd94fb392730d3df184d2008ed36951683d8d2b307dd2fe41137bd59ced",
         "grid/grid_daily_weekly.json":
-            "18f17850a4a9530aa3f85d7fa0e43b6cf4b7ad78087d05d4cf958952d9c6a93e",
+            "b66ee0759d94274349b7531254ca7cb15b0b6696866d88e0c212adcc28f0faf2",
         "grid/grid_daily_weekly.tsv":
-            "ddd1f0b392dd535cf60238ec38061d6b5c42e30e2420addd491ba60620a90f75",
+            "3515228544ee1df728676f9b1383ca1cb48b78176ea1892513005da908b4384b",
         "report/grid.tsv":
-            "db60edb16d496e1ecfe5d21d751b20c04653fd8bd983fc111f3b277f377b13a5",
+            "0ced1bd94fb392730d3df184d2008ed36951683d8d2b307dd2fe41137bd59ced",
     },
 }
 
@@ -185,17 +190,34 @@ def test_golden_output_digests(tmp_path, capsys, seed, hours):
 
 # SHA-256 of grid_to_json(run_grid(...)) on one 40,000-hour market with the
 # plants of acceptance criterion 3, classical and with hac_lags=4. The grid
-# above sees only 400 and 2,000 hours; these pin the large-n fits. They are
-# the same with OpenBLAS on one thread and on two.
+# above sees only 400 and 2,000 hours; these pin the large-n fits.
 GOLDEN_40K_SEED = 1
-GOLDEN_40K_GRID = "8a91ea4e399be59a31d928d73d7d37947e325a570abe3e66985e0aa7784b1fc1"
-GOLDEN_40K_GRID_HAC4 = "925acd2471d1619c1d3cabe193e27c42d073eee405ee111a3e909ababbc8fbc9"
+GOLDEN_40K_GRID = "a88547532f82c2b031e0b2a87dd72c60383710e0d00ccbb7ae86648921bf7290"
+GOLDEN_40K_GRID_HAC4 = "567529738aeaa788ced2a5e7d7ade47aac4094aaedf2ce0125ee37c5e4cd46ce"
 
 
-def test_golden_40k_hour_grid_digests():
+def grid_40k_digests() -> list[str]:
     data = gen_market(GOLDEN_40K_SEED, 40_000, GridPlants(
         usdt_eth_return=1.1e-5, eth_eth_return=-0.017, usdt_btc_return=6.3e-6,
         btc_btc_vol=-17.0, return_ar=-0.03))
-    for hac_lags, want in ((None, GOLDEN_40K_GRID), (4, GOLDEN_40K_GRID_HAC4)):
-        grid = grid_to_json(run_grid(data, hac_lags=hac_lags))
-        assert hashlib.sha256(grid.encode()).hexdigest() == want, hac_lags
+    return [hashlib.sha256(grid_to_json(run_grid(data, hac_lags=hac_lags)).encode()).hexdigest()
+            for hac_lags in (None, 4)]
+
+
+def test_golden_40k_hour_grid_digests():
+    assert grid_40k_digests() == [GOLDEN_40K_GRID, GOLDEN_40K_GRID_HAC4]
+
+
+def test_40k_hour_grid_bits_do_not_depend_on_the_blas_kernel():
+    # numpy's bundled OpenBLAS picks its kernel by the CPU, unless
+    # OPENBLAS_CORETYPE in the process's own environment names another. A
+    # grid fitted through BLAS gets other bits under another kernel.
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(Path(flowcast.__file__).resolve().parents[1]), str(here)])
+    want = grid_40k_digests()
+    for coretype in ("Haswell", "Sandybridge"):
+        child = subprocess.run(
+            [sys.executable, "-c", "import test_golden; print(*test_golden.grid_40k_digests())"],
+            env=dict(os.environ, OPENBLAS_CORETYPE=coretype, PYTHONPATH=path),
+            capture_output=True, text=True, timeout=120, check=True)
+        assert child.stdout.split() == want, coretype

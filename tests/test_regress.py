@@ -117,6 +117,18 @@ def test_rank_deficient_on_constant_predictor():
         ols_fit(sample_from(np.full(50, 2.5), np.arange(50.0)))
 
 
+@pytest.mark.parametrize("case", ["control-is-2x", "constant-control", "zero-predictor"])
+def test_rank_deficient_double_model(rng, case):
+    # R's diagonal for the predictor or the control is 0, or within rounding
+    # of 0 for a control of 0.1, whose mean is not exact.
+    x, other = rng.normal(size=50), rng.normal(size=50)
+    x, control = {"control-is-2x": (x, 2.0 * x),
+                  "constant-control": (x, np.full(50, 0.1)),
+                  "zero-predictor": (np.zeros(50), other)}[case]
+    with pytest.raises(errors.RankDeficient):
+        ols_fit(sample_from(x, x + other, control=control))
+
+
 def test_hac_matches_double_loop_oracle(rng):
     x = rng.normal(size=60)
     e = rng.normal(size=60)
@@ -151,6 +163,15 @@ def test_ols_fit_is_byte_identical_to_reference_ols_fit(rng, hac_lags):
         n = int(rng.integers(4, 300))
         x = rng.normal(size=n)
         ctrl = rng.normal(size=n) if i % 2 else None
+        y = rng.uniform(-2, 2) * x + rng.normal(0.0, rng.uniform(1e-3, 10.0), size=n)
+        samples.append(sample_from(x, y, control=ctrl))
+    # Regressors off zero, and controls that follow the predictor, so that
+    # every term of (X'X)^-1 reaches the last bits of the standard errors.
+    for i in range(60):
+        n = int(rng.integers(4, 300))
+        x = rng.uniform(-30, 30) + rng.normal(size=n)
+        ctrl = (rng.uniform(-30, 30) + rng.uniform(-2, 2) * x + rng.normal(size=n)
+                if i % 2 else None)
         y = rng.uniform(-2, 2) * x + rng.normal(0.0, rng.uniform(1e-3, 10.0), size=n)
         samples.append(sample_from(x, y, control=ctrl))
     # Orthogonal +-1 regressors fit these exactly, so every se is 0 and t is

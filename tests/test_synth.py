@@ -18,6 +18,7 @@ from flowcast.synth import (
     OptionChainSpec,
     SynthConfig,
     _ar1,
+    _ar1_unless_zero,
     black_scholes_call,
     gen_flows_and_prices,
     gen_market,
@@ -188,6 +189,15 @@ AR_VALUES = st.one_of(st.sampled_from((0.0, -0.0, 5e-324, -5e-324, 2.2e-308)),
 def test_ar1_matches_lfilter_bit_for_bit(x, b):
     from scipy.signal import lfilter
     assert _bits(_ar1(x, b)) == _bits(lfilter([1.0], [1.0, -b], x))
+
+
+@settings(max_examples=200)
+@given(x=arrays(np.float64, st.integers(1, 500), elements=st.one_of(
+           AR_VALUES, st.sampled_from((np.inf, -np.inf, np.nan)))),
+       b=st.sampled_from((0.0, -0.0)), base=st.sampled_from((1.0, 0.01)))
+def test_ar1_skipped_at_zero_gives_the_bars_the_same_bits(x, b, base):
+    # gen_price_bars adds 1.0 to the returns and vol_base to the dispersion.
+    assert _bits(base + _ar1_unless_zero(x, b)) == _bits(base + _ar1(x, b))
 
 
 def test_plant_and_recover_sign_classification():
