@@ -29,7 +29,7 @@ from . import events as events_mod
 from . import ingest, options, regress, synth
 from .errors import FlowcastError, ValidationError
 from .ingest import Asset
-from .series import net_inflows
+from .series import HOUR, net_inflows
 
 logger = logging.getLogger(__name__)
 
@@ -211,13 +211,15 @@ def ingest_check(flows, bars, bar_frequency_minutes, options_path):
 @click.option("--bar-frequency-minutes", type=_minutes, default=5, show_default=True)
 @click.option("--horizons", type=_CommaList("horizon", _horizon,
                                              f"expected whole hours in 1..{_MAX_HOURS}"),
-              default="1,2,3,4,6", show_default=True)
+              default=",".join(str(h // HOUR) for h in regress.DEFAULT_HORIZONS),
+              show_default=True)
 @click.option("--pairs", type=_CommaList("pair", _pair, "expected e.g. 'USDT:ETH'"),
-              default="USDT:ETH,ETH:ETH,USDT:BTC,BTC:BTC", show_default=True)
+              default=",".join(f"{p.value}:{r.value}" for p, r in regress.DEFAULT_PAIRS),
+              show_default=True)
 @click.option("--targets", type=_choices("target", regress.TARGETS),
-              default="return,volatility", show_default=True)
+              default=",".join(regress.TARGETS), show_default=True)
 @click.option("--models", type=_choices("model", regress.MODELS),
-              default="single,double", show_default=True)
+              default=",".join(regress.MODELS), show_default=True)
 @click.option("--daily-weekly", is_flag=True,
               help="Also write the 24h/168h volatility grid.")
 @click.option("--hac-lags", type=click.IntRange(min=0), default=None,
@@ -311,10 +313,14 @@ def cmd_events(flows, asset, k, years, most_negative, bars, bar_frequency_minute
 @click.option("--side", type=click.Choice([options.SIDE_SELL, options.SIDE_BUY]),
               default=options.SIDE_SELL, show_default=True)
 @click.option("--holding-hours", type=_hours, default=1, show_default=True)
-@click.option("--premium-rate", type=_rate, default=0.0003, show_default=True)
-@click.option("--hedge-rate", type=_rate, default=0.0005, show_default=True)
-@click.option("--half-spread", type=_rate, default=0.0005, show_default=True)
-@click.option("--slippage", type=_rate, default=0.0, show_default=True)
+@click.option("--premium-rate", type=_rate, default=options.CostParams.premium_rate,
+              show_default=True)
+@click.option("--hedge-rate", type=_rate, default=options.CostParams.hedge_rate,
+              show_default=True)
+@click.option("--half-spread", type=_rate, default=options.CostParams.half_spread,
+              show_default=True)
+@click.option("--slippage", type=_rate, default=options.CostParams.slippage,
+              show_default=True)
 @click.option("--wtl-mode", type=click.Choice([options.WTL_COUNTS, options.WTL_PNL]),
               default=options.WTL_COUNTS, show_default=True)
 @click.option("--out", type=_out_dir, required=True)
@@ -351,10 +357,10 @@ def cmd_backtest(flows, options_path, asset, pct, legs, side, holding_hours,
 @click.option("--usdt-btc-ret", type=float, default=6.3e-6, show_default=True)
 @click.option("--btc-btc-vol", type=float, default=-17.0, show_default=True)
 @click.option("--return-ar", type=float, default=-0.03, show_default=True)
-@click.option("--noise-sd", type=float, default=0.01, show_default=True)
-@click.option("--sub-frequency-minutes", type=click.IntRange(max=_MAX_MINUTES), default=5,
-              show_default=True)
-@click.option("--iv-base", type=float, default=0.8, show_default=True)
+@click.option("--noise-sd", type=float, default=synth.SynthConfig.noise_sd, show_default=True)
+@click.option("--sub-frequency-minutes", type=click.IntRange(max=_MAX_MINUTES),
+              default=synth.DEFAULT_SUB_FREQUENCY // timedelta(minutes=1), show_default=True)
+@click.option("--iv-base", type=float, default=synth.OptionChainSpec.iv_base, show_default=True)
 @click.option("--iv-flow-beta", type=float, default=-0.05, show_default=True)
 @click.option("--out", type=_out_dir, required=True)
 def cmd_synth(seed, hours, usdt_eth_ret, eth_eth_ret, usdt_btc_ret, btc_btc_vol,

@@ -104,11 +104,11 @@ def extract_window(event: EventHit, hourly: NetInflowSeries, bars: BarSeries,
     hour's epoch second, the event asset's net inflow in it (US$M) and the
     close of its last bar (USD). ``pre`` and ``post`` must be non-negative
     whole hours."""
-    if pre < timedelta(0) or post < timedelta(0):
-        raise InsufficientCoverage("pre and post must be non-negative")
     for name, span in (("pre", pre), ("post", post)):
         if span % HOUR:
             raise InsufficientCoverage(f"{name} {span} is not a whole number of hours")
+    pre_s, post_s = (_seconds(span, name, allow_zero=True, error=InsufficientCoverage)
+                     for name, span in (("pre", pre), ("post", post)))
     if hourly.asset != event.asset:
         raise InsufficientCoverage(f"no flows for {event.asset.value}")
     if hourly.horizon != HOUR:
@@ -118,10 +118,10 @@ def extract_window(event: EventHit, hourly: NetInflowSeries, bars: BarSeries,
     # them misses its first hour, and one that runs past them misses the hour
     # after their last, if no earlier one.
     t0 = int(event.timestamp.timestamp())
-    start, hours = t0 - int(pre.total_seconds()), hourly.timestamps
+    start, hours = t0 - pre_s, hourly.timestamps
     if len(hours) == 0 or not hours[0] <= start <= hours[-1]:
         raise InsufficientCoverage(f"no net inflow at {format_timestamp(start)}")
-    stop = min(t0 + int(post.total_seconds()), int(hours[-1]) + 3600)
+    stop = min(t0 + post_s, int(hours[-1]) + 3600)
     grid = np.arange(start, stop + 1, 3600, dtype=np.int64)
 
     net_inflow_musd = _track(grid, hourly.timestamps, hourly.values, 0, "no net inflow at")

@@ -62,11 +62,19 @@ def to_datetime(epoch: int | float) -> datetime:
     return datetime.fromtimestamp(int(epoch), tz=timezone.utc)
 
 
-def _seconds(duration: timedelta, name: str = "duration") -> int:
-    s = duration.total_seconds()
-    if s <= 0 or s != int(s):
-        raise FrequencyMismatch(f"{name} must be a positive whole-second duration")
-    return int(s)
+def _seconds(duration: timedelta, name: str, *, allow_zero: bool = False,
+             error: type[ValidationError] = FrequencyMismatch) -> int:
+    """``duration`` in whole seconds, by exact ``timedelta`` arithmetic (a
+    float count of seconds drops the microseconds of a duration of some
+    centuries): the one place a duration becomes seconds. Raises ``error``,
+    naming ``name``, for a negative duration, a zero one unless
+    ``allow_zero``, and one with a fraction of a second, which is refused,
+    never truncated."""
+    seconds, rest = divmod(duration, timedelta(seconds=1))
+    if rest or seconds < (0 if allow_zero else 1):
+        kind = "non-negative" if allow_zero else "positive"
+        raise error(f"{name} must be a {kind} whole-second duration, got {duration}")
+    return seconds
 
 
 def format_number(x: float) -> str:
@@ -144,7 +152,7 @@ class BarSeries:
     @cached_property
     def runs(self) -> tuple[np.ndarray, np.ndarray]:
         """First and one-past-last row of each run of bars one ``frequency`` apart."""
-        f_s, ts = int(self.frequency.total_seconds()), self.timestamps
+        f_s, ts = _seconds(self.frequency, "bar frequency"), self.timestamps
         return (np.flatnonzero(np.diff(ts, prepend=ts[:1]) != f_s),
                 np.flatnonzero(np.diff(ts, append=ts[-1:]) != f_s) + 1)
 

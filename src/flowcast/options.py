@@ -34,7 +34,7 @@ from datetime import timedelta
 import numpy as np
 
 from .errors import InstrumentMismatch, InvalidConfig, NoMatchingQuotes, ZeroEntryPrice
-from .ingest import OptionQuote, QuoteSeries, format_number
+from .ingest import OptionQuote, QuoteSeries, _seconds, format_number
 from .series import NetInflowSeries
 
 logger = logging.getLogger(__name__)
@@ -319,15 +319,16 @@ def run_percentile_backtest(net_series: NetInflowSeries, quotes: QuoteSeries,
     first of the same instrument in [entry + holding, entry + holding +
     tolerance]. Diagnostics count, in this order, (event, instrument) pairs
     without an entry, entries without an exit and entries priced at or below 0.
+    Refuses empty ``quotes`` (NoMatchingQuotes), and with InvalidConfig quotes
+    out of time order, a ``holding`` that is not a positive whole number of
+    seconds and an ``entry_tolerance`` that is not a non-negative one.
     Cost: sorts of the time-sorted ``quotes`` by instrument plus searches,
     linear in the quotes inside the entry windows, not events x instruments.
     """
     if len(quotes) == 0:
         raise NoMatchingQuotes("no option quotes supplied")
-    tol_s = int(entry_tolerance.total_seconds())
-    hold_s = int(holding.total_seconds())
-    if hold_s <= 0:
-        raise InvalidConfig("holding horizon must be positive")
+    tol_s = _seconds(entry_tolerance, "entry_tolerance", allow_zero=True, error=InvalidConfig)
+    hold_s = _seconds(holding, "holding", error=InvalidConfig)
     qt = quotes.quote_times
     if (np.diff(qt) < 0).any():
         raise InvalidConfig("option quotes must be sorted by quote_time")

@@ -26,6 +26,8 @@ byte-for-byte.
 construction and raise ``InvalidConfig``: every float field must be finite,
 and the first two also check their ranges. ``gen_market`` checks the
 plants' ranges when it builds its ``SynthConfig``, before any draw.
+``gen_price_bars`` refuses a plant that drives a close to infinity, NaN or
+0, which no bar file may hold.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import InvalidConfig
-from .ingest import Asset, BarSeries, FlowSeries, QuoteSeries
+from .ingest import Asset, BarSeries, FlowSeries, QuoteSeries, _seconds, format_timestamp
 from .regress import MarketData
 from .series import HOUR
 
@@ -70,7 +72,10 @@ class OptionChainSpec:
     """Strike/expiry grid of the synthetic call chain, quoted every hour.
 
     Strikes are the moneyness rungs rounded to ``STRIKE_STEP``, and the
-    implied vol is floored at ``IV_FLOOR``.
+    implied vol is floored at ``IV_FLOOR``. Refuses, with InvalidConfig, a
+    float field that is not finite, an ``iv_base`` at or below 0, and an
+    ``expiry_every`` or ``lifetime`` that is not a positive whole number of
+    seconds.
     """
 
     moneyness: tuple[float, ...] = (0.98, 1.0, 1.02, 1.05)
@@ -81,9 +86,8 @@ class OptionChainSpec:
 
     def __post_init__(self):
         _check_finite(self)
-        if min(int(self.expiry_every.total_seconds()),
-               int(self.lifetime.total_seconds())) <= 0:
-            raise InvalidConfig("expiry_every and lifetime must be positive")
+        _seconds(self.expiry_every, "expiry_every", error=InvalidConfig)
+        _seconds(self.lifetime, "lifetime", error=InvalidConfig)
         if self.iv_base <= 0:
             raise InvalidConfig("iv_base must be positive")
 
@@ -91,7 +95,15 @@ class OptionChainSpec:
 @dataclass(frozen=True)
 class SynthConfig:
     """One planted (net inflow -> same asset) system plus its option chain:
-    every synth default, checked on construction."""
+    every synth default, checked on construction.
+
+    Refuses, with InvalidConfig: a float field that is not finite; a negative
+    ``seed``; ``hours`` under 100 or not a multiple of ``vol_horizon``; a
+    negative standard deviation; ``vol_base``, ``vol_floor`` or ``init_price``
+    at or below 0; a ``sub_frequency`` that does not divide one hour or is
+    not a whole number of seconds; a ``vol_horizon`` that is not a positive
+    whole number of hours.
+    """
 
     seed: int
     hours: int
@@ -123,9 +135,9 @@ class SynthConfig:
             raise InvalidConfig("vol_base and vol_floor must be positive")
         if self.init_price <= 0:
             raise InvalidConfig("init_price must be positive")
-        sub_s = int(self.sub_frequency.total_seconds())
-        if sub_s <= 0 or 3600 % sub_s != 0:
+        if self.sub_frequency <= timedelta(0) or HOUR % self.sub_frequency:
             raise InvalidConfig("sub_frequency must divide one hour")
+        _seconds(self.sub_frequency, "sub_frequency", error=InvalidConfig)
         vh, rest = divmod(self.vol_horizon, HOUR)
         if vh <= 0 or rest:
             raise InvalidConfig("vol_horizon must be a whole number of hours")
@@ -165,22 +177,26 @@ def _ar1_unless_zero(x: np.ndarray, b: float) -> np.ndarray:
     """``_ar1(x, b)``, or ``x`` itself for b == 0 on finite x: ``_ar1`` then
     returns x but for the sign of a zero, which the caller's ``1.0 + r`` or
     ``vol_base + v`` drops. (A non-finite x[i] makes ``_ar1``'s later terms
-    NaN.)"""
+    NaN, so an overflowing plant reaches the closes, where ``gen_price_bars``
+    refuses it.)"""
     if b == 0.0 and np.isfinite(x).all():
         return x
     return _ar1(x, b)
 
 
+@np.errstate(all="ignore")  # a plant that overflows is refused by its closes below
 def gen_price_bars(seq: np.random.SeedSequence, cfg: SynthConfig,
                    flows: Mapping[Asset, FlowSeries],
                    return_betas: Mapping[Asset, float],
                    vol_betas: Mapping[Asset, float]) -> BarSeries:
-    """Sub-hourly bars of ``cfg.asset``, planted on ``flows``."""
+    """Sub-hourly bars of ``cfg.asset``, planted on ``flows``. Refuses, with
+    InvalidConfig, flows that do not cover the generation grid and plants
+    that drive a close out of the finite positive floats."""
     rng = np.random.default_rng(seq)
     hours = cfg.hours
-    sub_s = int(cfg.sub_frequency.total_seconds())
+    sub_s = _seconds(cfg.sub_frequency, "sub_frequency")
     nsub = 3600 // sub_s
-    vh = int(cfg.vol_horizon.total_seconds()) // 3600
+    vh = cfg.vol_horizon // HOUR
     net = {a: _hourly_net_musd(f, hours) for a, f in flows.items()}
 
     # Hourly returns: AR(1) around the flow-driven drift, in a fixed draw order.
@@ -219,6 +235,11 @@ def gen_price_bars(seq: np.random.SeedSequence, cfg: SynthConfig,
     opens = np.concatenate(([cfg.init_price], closes[:-1]))
 
     ts = DEFAULT_START + sub_s * np.arange(hours * nsub, dtype=np.int64)
+    bad = np.flatnonzero(~(np.isfinite(closes) & (closes > 0)))
+    if len(bad):
+        raise InvalidConfig(f"the plants drive the {cfg.asset.value} close at "
+                            f"{format_timestamp(ts[bad[0]])} to {closes[bad[0]]}, "
+                            "not a finite positive price")
     return BarSeries(ts, opens, np.maximum(opens, closes), np.minimum(opens, closes),
                      closes, cfg.sub_frequency, asset=cfg.asset)
 
@@ -267,11 +288,11 @@ def gen_option_chain(cfg: SynthConfig, bars: BarSeries, flows: FlowSeries) -> Qu
     if cfg.chain is None:
         raise InvalidConfig("config has no option_chain_spec")
     spec = cfg.chain
-    nsub = 3600 // int(cfg.sub_frequency.total_seconds())
+    nsub = HOUR // cfg.sub_frequency
     if len(bars) != cfg.hours * nsub:
         raise InvalidConfig("bars do not cover the generation grid")
-    expiry_s = int(spec.expiry_every.total_seconds())
-    life_s = int(spec.lifetime.total_seconds())
+    expiry_s = _seconds(spec.expiry_every, "expiry_every")
+    life_s = _seconds(spec.lifetime, "lifetime")
     net = _hourly_net_musd(flows, cfg.hours)
 
     # Hour k quotes at t = DEFAULT_START + (k+1)h: the close of the last sub-bar of
@@ -319,8 +340,9 @@ class GridPlants:
     deviations of US$100M (USDT), US$1M (ETH) and US$100 (BTC), and both
     assets' sub-bars use ``SynthConfig``'s defaults for every setting the
     plants do not name, such as ``vol_base`` and ``vol_floor``. A plant is
-    checked to be finite here, and against its range where ``gen_market``
-    passes it to a ``SynthConfig``.
+    checked to be finite here, against its range where ``gen_market``
+    passes it to a ``SynthConfig``, and by the closes it drives in
+    ``gen_price_bars``.
     """
 
     usdt_eth_return: float = 0.0

@@ -5,14 +5,15 @@ import os
 import re
 import subprocess
 import sys
+from datetime import timedelta
 from pathlib import Path
 
 import jsonschema
 import pytest
 
 import flowcast
-from flowcast import ingest, synth
-from flowcast.cli import main
+from flowcast import ingest, options, regress, synth
+from flowcast.cli import cli, main
 
 GRID_SCHEMA = {
     "type": "array",
@@ -498,6 +499,40 @@ def test_synth_refuses_hours_too_long_for_a_duration(tmp_path, capsys, hours):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags,message", [
+    (["--eth-eth-ret", "1e308"], "the plants drive the ETH close at 2021-01-07T01:00:00Z to inf"),
+    (["--eth-eth-ret", "-50"], "the plants drive the ETH close at 2021-01-29T07:50:00Z to inf"),
+    (["--btc-btc-vol", "1e308"], "the plants drive the BTC close at 2021-01-07T01:30:00Z to 0.0"),
+    (["--return-ar", "1.5"], "the plants drive the ETH close at 2021-02-21T00:00:00Z to 0.0"),
+], ids=["eth-eth-ret-overflow", "eth-eth-ret-large", "btc-btc-vol-overflow", "return-ar-explosive"])
+def test_synth_refuses_a_plant_that_drives_prices_out_of_range(tmp_path, capsys, flags, message):
+    out = tmp_path / "data"
+    assert main(["synth", "--seed", "1", "--hours", "2000", *flags, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (f"validation error: {message}, "
+                                       "not a finite positive price\n")
+    assert not out.exists()
+
+
+def _default(command, name):
+    """A command's default for ``name``, converted by the flag's type."""
+    param = next(p for p in cli.commands[command].params if p.name == name)
+    return param.type.convert(param.default, param, None)
+
+
+def test_cli_defaults_are_the_library_defaults():
+    costs, chain = options.CostParams(), synth.OptionChainSpec()
+    assert _default("regress", "horizons") == list(regress.DEFAULT_HORIZONS)
+    assert _default("regress", "pairs") == list(regress.DEFAULT_PAIRS)
+    assert _default("regress", "targets") == list(regress.TARGETS)
+    assert _default("regress", "models") == list(regress.MODELS)
+    for name in ("premium_rate", "hedge_rate", "half_spread", "slippage"):
+        assert _default("backtest", name) == getattr(costs, name)
+    assert _default("synth", "iv_base") == chain.iv_base
+    assert _default("synth", "noise_sd") == synth.SynthConfig(seed=0, hours=100).noise_sd
+    assert (timedelta(minutes=_default("synth", "sub_frequency_minutes"))
+            == synth.DEFAULT_SUB_FREQUENCY)
+
+
 def _argv(dataset, command, flows, flags, out):
     """``command`` on ``flows`` and the dataset's other inputs, with ``flags``."""
     inputs = {"ingest-check": ["--bars", str(dataset / "bars_eth.csv")],
@@ -677,9 +712,11 @@ def _one_cell(**fields) -> bytes:
      "stars '***' on a NaN beta1"),
     (_one_cell(beta1=0.5, error="TooFewObservations: n=1 below minimum 30"),
      "a failed cell has beta1 0.5 and stars ''"),
+    (_one_cell(beta1=None, error=5), "error must be a string"),
 ], ids=["pair-one", "pair-three", "target", "model", "horizon-negative", "horizon-zero",
         "horizon-inf", "horizon-nan", "stars", "horizon-bool", "sign", "sign-disagrees",
-        "beta1", "fitted-null-beta1", "starred-nan-beta1", "failed-with-beta1"])
+        "beta1", "fitted-null-beta1", "starred-nan-beta1", "failed-with-beta1",
+        "error-not-a-string"])
 def test_grid_cell_with_a_bad_value_is_a_validation_error(tmp_path, capsys, data, reason):
     bad = tmp_path / "bad.json"
     bad.write_bytes(data)

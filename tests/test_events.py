@@ -245,3 +245,31 @@ def test_window_track_csvs(rng):
     assert flow_csv.startswith("timestamp,net_inflow_musd\n")
     assert price_csv.startswith("timestamp,close\n")
     assert len(flow_csv.strip().split("\n")) == 5
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda hit, series, bars: threshold_percentile(10, 0), errors.EmptyYear, "no observations"),
+    (lambda hit, series, bars: detect_extremes(series, k=0),
+     errors.EmptyYear, "k must be >= 1, got 0"),
+    (lambda hit, series, bars: detect_extremes(
+        dataclasses.replace(series, horizon=timedelta(hours=2)), k=1),
+     errors.FrequencyMismatch, "extreme detection runs on 1h series, got 2:00:00"),
+    (lambda hit, series, bars: extract_window(hit, series, bars, pre=timedelta(hours=-1),
+                                              post=timedelta(0)),
+     errors.InsufficientCoverage,
+     "pre must be a non-negative whole-second duration, got -1 day, 23:00:00"),
+    (lambda hit, series, bars: extract_window(hit, series, bars, pre=timedelta(0),
+                                              post=timedelta(hours=-2)),
+     errors.InsufficientCoverage,
+     "post must be a non-negative whole-second duration, got -1 day, 22:00:00"),
+    (lambda hit, series, bars: extract_window(
+        hit, series, BarSeries(bars.timestamps, bars.open, bars.high, bars.low, bars.close,
+                               timedelta(minutes=7)), pre=timedelta(0), post=timedelta(0)),
+     errors.FrequencyMismatch, "bar frequency 0:07:00 does not divide 1h"),
+], ids=["percentile-no-observations", "k-zero", "two-hour-series", "negative-pre",
+        "negative-post", "bar-frequency-not-dividing-an-hour"])
+def test_events_refuse_a_bad_argument(rng, call, error, message):
+    hit, series, bars = _event_and_data(rng)
+    with pytest.raises(error) as exc:
+        call(hit, series, bars)
+    assert str(exc.value) == message

@@ -35,7 +35,7 @@ from flowcast.ingest import (
     to_datetime,
     write_table,
 )
-from flowcast.ingest import _load_canonical, _read_records
+from flowcast.ingest import _load_canonical, _read_records, _seconds
 from oracles import reference_read_table
 
 FLOWS_HEADER = "timestamp,asset,inflow_usd,outflow_usd\n"
@@ -186,6 +186,46 @@ def test_parse_bars_refuses_a_fractional_second_frequency(tmp_path):
     with pytest.raises(errors.FrequencyMismatch,
                        match="bar frequency must be a positive whole-second duration"):
         parse_bars(write(tmp_path, "bars.csv", text), timedelta(seconds=90.5))
+
+
+@pytest.mark.parametrize("duration,allow_zero,seconds", [
+    (timedelta(minutes=5), False, 300),
+    (timedelta(0), True, 0),
+    (timedelta(days=10**6), False, 86_400_000_000),
+    (timedelta.max - timedelta(microseconds=999999), False, 86_399_999_999_999),
+])
+def test_seconds_is_exact(duration, allow_zero, seconds):
+    assert _seconds(duration, "x", allow_zero=allow_zero) == seconds
+
+
+def test_seconds_refuses_a_microsecond_past_float_precision():
+    # total_seconds() rounds this one to a whole 86,400,000,000 s.
+    with pytest.raises(errors.FrequencyMismatch,
+                       match=r"^x must be a positive whole-second duration, "
+                             r"got 1000000 days, 0:00:00\.000001$"):
+        _seconds(timedelta(days=10**6, microseconds=1), "x")
+
+
+@pytest.mark.parametrize("duration,allow_zero,message", [
+    (timedelta(seconds=1.5), True,
+     "x must be a non-negative whole-second duration, got 0:00:01.500000"),
+    (timedelta(0), False, "x must be a positive whole-second duration, got 0:00:00"),
+    (timedelta(seconds=-1), True,
+     "x must be a non-negative whole-second duration, got -1 day, 23:59:59"),
+    (timedelta.min, True,
+     "x must be a non-negative whole-second duration, got -999999999 days, 0:00:00"),
+], ids=["fraction", "zero", "negative", "most-negative"])
+def test_seconds_refuses_and_never_truncates(duration, allow_zero, message):
+    with pytest.raises(errors.FrequencyMismatch) as exc:
+        _seconds(duration, "x", allow_zero=allow_zero)
+    assert str(exc.value) == message
+    with pytest.raises(errors.InvalidConfig):
+        _seconds(duration, "x", allow_zero=allow_zero, error=errors.InvalidConfig)
+
+
+def test_flow_series_refuses_columns_of_different_lengths():
+    with pytest.raises(ValueError, match="^column length mismatch$"):
+        FlowSeries(np.array([0, 3600]), np.array(["ETH"]), np.zeros(2), np.zeros(2))
 
 
 def test_parse_bars_duplicate_timestamp(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 from datetime import timedelta
 
 import numpy as np
@@ -22,11 +23,12 @@ from flowcast.options import (
     otm_range,
     report_to_tsv,
     run_percentile_backtest,
+    select_percentile_hours,
     table_buckets,
     trade,
     trade_fields,
 )
-from flowcast.series import HOUR, net_inflows
+from flowcast.series import HOUR, NetInflowSeries, net_inflows
 from flowcast.synth import OptionChainSpec, SynthConfig, gen_flows_and_prices, gen_option_chain
 
 
@@ -415,3 +417,54 @@ def test_backtest_rejects_non_positive_entry_index():
     with pytest.raises(errors.InvalidConfig):
         run_percentile_backtest(series, quotes, 1.0, LEG_TOP, SIDE_SELL,
                                 CostParams(), [BucketKey(LEG_TOP, 1.0)])
+
+
+def _breakeven_at_index(index):
+    entry = make_quote(utc(2022, 5, 12, 12))
+    t = trade(entry, make_quote(utc(2022, 5, 12, 13)), SIDE_SELL)
+    return breakeven_slippage(dataclasses.replace(t, entry=dataclasses.replace(
+        entry, index_price=index)), CostParams())
+
+
+def _backtest(**durations):
+    series, quotes = _chain_fixture(hours=200)
+    return run_percentile_backtest(series, quotes, 0.10, LEG_TOP, SIDE_SELL, CostParams(),
+                                   [BucketKey(LEG_TOP, 0.10)], **durations)
+
+
+_EMPTY_SERIES = NetInflowSeries(None, HOUR, np.empty(0, np.int64), np.empty(0))
+_ONE_HOUR = NetInflowSeries(None, HOUR, np.array([0]), np.array([1.0]))
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: select_percentile_hours(_ONE_HOUR, 0.0, LEG_TOP), "pct must be in (0, 1], got 0.0"),
+    (lambda: select_percentile_hours(_ONE_HOUR, 1.5, LEG_TOP), "pct must be in (0, 1], got 1.5"),
+    (lambda: select_percentile_hours(_ONE_HOUR, 0.5, "middle"),
+     "leg must be 'top' or 'bottom', got 'middle'"),
+    (lambda: select_percentile_hours(_EMPTY_SERIES, 0.5, LEG_TOP), "empty net inflow series"),
+    (lambda: bucket_stats(np.array([1.0]), np.array([0.0]), np.array([0.01]),
+                          BucketKey(LEG_TOP, 1.0), wtl_mode="ratio"),
+     "wtl_mode must be 'counts' or 'pnl'"),
+    (lambda: _breakeven_at_index(0.0), "entry index price must be positive"),
+    (lambda: _breakeven_at_index(-2000.0), "entry index price must be positive"),
+    (lambda: _backtest(holding=timedelta(hours=1, microseconds=999999)),
+     "holding must be a positive whole-second duration, got 1:00:00.999999"),
+    (lambda: _backtest(holding=timedelta(0)),
+     "holding must be a positive whole-second duration, got 0:00:00"),
+    (lambda: _backtest(entry_tolerance=timedelta(minutes=-30)),
+     "entry_tolerance must be a non-negative whole-second duration, got -1 day, 23:30:00"),
+    (lambda: _backtest(entry_tolerance=timedelta(milliseconds=1)),
+     "entry_tolerance must be a non-negative whole-second duration, got 0:00:00.001000"),
+], ids=["pct-zero", "pct-above-one", "unknown-leg", "empty-series", "unknown-wtl-mode",
+        "breakeven-zero-index", "breakeven-negative-index", "holding-off-whole-seconds",
+        "holding-zero", "entry-tolerance-negative", "entry-tolerance-off-whole-seconds"])
+def test_options_refuse_a_bad_argument(call, message):
+    with pytest.raises(errors.InvalidConfig) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+def test_backtest_takes_a_zero_entry_tolerance():
+    # The chain quotes on the hour, so every entry and exit is on its window's edge.
+    assert _backtest(entry_tolerance=timedelta(0)) == _backtest()
+    assert _backtest()[1].trades > 0

@@ -129,6 +129,19 @@ def test_rank_deficient_double_model(rng, case):
         ols_fit(sample_from(x, x + other, control=control))
 
 
+@pytest.mark.parametrize("call,error,message", [
+    (lambda x, y: ols_fit(sample_from(x, y), hac_lags=-1),
+     errors.InvalidConfig, "hac_lags must be >= 0, got -1"),
+    (lambda x, y: two_sided_p(2.0, 0),
+     errors.TooFewObservations, "need at least 1 degree of freedom, got 0"),
+], ids=["negative-hac-lags", "two-sided-p-no-degree-of-freedom"])
+def test_fit_refuses_a_bad_argument(rng, call, error, message):
+    x = rng.normal(size=50)
+    with pytest.raises(error) as exc:
+        call(x, x + rng.normal(size=50))
+    assert str(exc.value) == message
+
+
 def test_hac_matches_double_loop_oracle(rng):
     x = rng.normal(size=60)
     e = rng.normal(size=60)
@@ -439,6 +452,15 @@ def test_run_grid_deterministic_serialization():
     assert tsv == grid_to_tsv(grid_from_json(a))
     assert tsv.splitlines()[0].startswith("horizon\tmodel\t")
     assert len(tsv.splitlines()) == 11  # header + 5 horizons x 2 models
+
+
+def test_grid_tsv_leaves_a_missing_cell_empty():
+    pairs = [(Asset.USDT, Asset.ETH), (Asset.ETH, Asset.ETH)]
+    cells = [regress.HeatmapCell(pair, "return", H1 * h, MODEL_SINGLE, beta1=0.5)
+             for h in (1, 2) for pair in pairs][:-1]
+    assert grid_to_tsv(cells) == ("horizon\tmodel\tUSDT->ETH:return\tETH->ETH:return\n"
+                                  "1h\tsingle\t0.5\t0.5\n"
+                                  "2h\tsingle\t0.5\t\n")
 
 
 def test_run_grid_on_gappy_market_matches_reference_align(monkeypatch):

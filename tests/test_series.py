@@ -87,6 +87,12 @@ def test_net_inflow_empty_input():
         net_inflows(make_flows([]), H1)
 
 
+def test_net_inflow_refuses_a_horizon_off_whole_hours():
+    with pytest.raises(errors.FrequencyMismatch,
+                       match="^horizon 1:30:00 is not a whole number of hours$"):
+        net_inflows(make_flows([1.0, 2.0]), timedelta(minutes=90))
+
+
 def test_net_inflow_mixed_assets_rejected():
     from flowcast.ingest import Asset, FlowSeries
     a = make_flows([1.0])

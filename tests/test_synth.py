@@ -23,6 +23,7 @@ from flowcast.synth import (
     gen_flows_and_prices,
     gen_market,
     gen_option_chain,
+    gen_price_bars,
 )
 
 
@@ -283,6 +284,58 @@ def test_configs_refuse_a_non_finite_float_on_construction(config, required, val
     for name in names:
         with pytest.raises(errors.InvalidConfig, match=f"^{name} must be finite, got {value}$"):
             config(**required, **{name: value})
+
+
+@pytest.mark.parametrize("config,fields,message", [
+    (SynthConfig, dict(vol_base=0.0), "vol_base and vol_floor must be positive"),
+    (SynthConfig, dict(vol_floor=-0.001), "vol_base and vol_floor must be positive"),
+    (SynthConfig, dict(init_price=0.0), "init_price must be positive"),
+    (SynthConfig, dict(init_price=-1.0), "init_price must be positive"),
+    (SynthConfig, dict(vol_horizon=timedelta(minutes=90)),
+     "vol_horizon must be a whole number of hours"),
+    (SynthConfig, dict(vol_horizon=timedelta(0)), "vol_horizon must be a whole number of hours"),
+    # Divides one hour 2,400 times, and was once read as 1 s bars labelled 1.5 s.
+    (SynthConfig, dict(sub_frequency=timedelta(seconds=1.5)),
+     "sub_frequency must be a positive whole-second duration, got 0:00:01.500000"),
+    (OptionChainSpec, dict(expiry_every=timedelta(hours=24, milliseconds=500)),
+     "expiry_every must be a positive whole-second duration, got 1 day, 0:00:00.500000"),
+    (OptionChainSpec, dict(expiry_every=timedelta(0)),
+     "expiry_every must be a positive whole-second duration, got 0:00:00"),
+    (OptionChainSpec, dict(lifetime=timedelta(hours=-48)),
+     "lifetime must be a positive whole-second duration, got -2 days, 0:00:00"),
+], ids=["vol-base-zero", "vol-floor-negative", "init-price-zero", "init-price-negative",
+        "vol-horizon-off-whole-hours", "vol-horizon-zero", "sub-frequency-off-whole-seconds",
+        "expiry-off-whole-seconds", "expiry-zero", "lifetime-negative"])
+def test_configs_refuse_a_field_out_of_range(config, fields, message):
+    required = dict(seed=1, hours=100) if config is SynthConfig else {}
+    with pytest.raises(errors.InvalidConfig) as exc:
+        config(**required, **fields)
+    assert str(exc.value) == message
+
+
+def test_generators_refuse_flows_or_bars_off_the_grid():
+    cfg = SynthConfig(seed=1, hours=200, chain=OptionChainSpec())
+    short = dataclasses.replace(cfg, hours=100)
+    flows, bars = gen_flows_and_prices(cfg)
+    short_flows, short_bars = gen_flows_and_prices(short)
+    seq = np.random.SeedSequence(1)
+    with pytest.raises(errors.InvalidConfig,
+                       match="^flow series does not cover the generation grid$"):
+        gen_price_bars(seq, cfg, {Asset.ETH: short_flows}, {Asset.ETH: 0.0}, {})
+    with pytest.raises(errors.InvalidConfig, match="^bars do not cover the generation grid$"):
+        gen_option_chain(cfg, short_bars, flows)
+    with pytest.raises(errors.InvalidConfig,
+                       match="^flow series does not cover the generation grid$"):
+        gen_option_chain(cfg, bars, short_flows)
+
+
+def test_a_plant_that_drives_prices_out_of_range_is_refused():
+    with pytest.raises(errors.InvalidConfig,
+                       match="^the plants drive the ETH close at 2021-01-07T02:55:00Z to inf, "
+                             "not a finite positive price$"):
+        gen_flows_and_prices(SynthConfig(seed=1, hours=100, beta1=1e308))
+    with pytest.raises(errors.InvalidConfig, match="^the plants drive the BTC close at "):
+        gen_market(1, 100, GridPlants(btc_btc_vol=1e308))
 
 
 def test_gen_market_covers_grid_assets():
