@@ -82,6 +82,16 @@ def format_number(x: float) -> str:
     return repr(float(x))
 
 
+def _check_lengths(series, *names: str) -> None:
+    """Refuse, with ValidationError, a series whose columns ``names`` differ
+    in length, naming its shortest column and its longest."""
+    lengths = {name: len(getattr(series, name)) for name in names}
+    short, long = min(lengths, key=lengths.get), max(lengths, key=lengths.get)
+    if lengths[short] != lengths[long]:
+        raise ValidationError(f"{type(series).__name__}: column {short} has "
+                              f"{lengths[short]} rows, {long} has {lengths[long]}")
+
+
 @dataclass(frozen=True)
 class OptionQuote:
     """A call-option quote; ``option_price`` is in units of the underlying."""
@@ -108,9 +118,7 @@ class FlowSeries:
         self.assets = np.asarray(assets, dtype="U4")
         self.inflow_usd = np.asarray(inflow_usd, dtype=np.float64)
         self.outflow_usd = np.asarray(outflow_usd, dtype=np.float64)
-        for a in (self.assets, self.inflow_usd, self.outflow_usd):
-            if len(a) != len(self.timestamps):
-                raise ValueError("column length mismatch")
+        _check_lengths(self, "timestamps", "assets", "inflow_usd", "outflow_usd")
 
     def __len__(self) -> int:
         return len(self.timestamps)
@@ -143,6 +151,7 @@ class BarSeries:
         self.high = np.asarray(high, dtype=np.float64)
         self.low = np.asarray(low, dtype=np.float64)
         self.close = np.asarray(close, dtype=np.float64)
+        _check_lengths(self, "timestamps", "open", "high", "low", "close")
         self.frequency = frequency
         self.asset = asset
 
@@ -178,6 +187,8 @@ class QuoteSeries:
         self.index_prices = np.asarray(index_prices, dtype=np.float64)
         self.implied_vols = np.asarray(implied_vols, dtype=np.float64)
         self.deltas = np.asarray(deltas, dtype=np.float64)
+        _check_lengths(self, "quote_times", "strikes", "expiries", "option_prices",
+                       "index_prices", "implied_vols", "deltas")
 
     def __len__(self) -> int:
         return len(self.quote_times)

@@ -16,6 +16,8 @@ slope of about ``beta/nsub`` of the mean volatility (``beta/12`` for
 5-minute sub-bars). Both AR(1) terms (``b2``, and
 ``vol_ar`` on the dispersion) run ``y[i] = x[i] + b * y[i-1]`` from rest
 in Python floats, bit for bit ``scipy.signal.lfilter([1], [1, -b], x)``.
+Option quotes are priced with ``_ndtr``, bit for bit ``scipy.special.ndtr``,
+so this module imports no scipy.
 
 ``SynthConfig`` holds every synth default, and every series starts at
 ``DEFAULT_START``. Each array is drawn in a fixed order from numpy's PCG64
@@ -254,13 +256,80 @@ def gen_flows_and_prices(cfg: SynthConfig) -> tuple[FlowSeries, BarSeries]:
     return flows, bars
 
 
+# Cephes' ndtr.c coefficients, leading first. A leading 1.0 marks where
+# Cephes calls p1evl, whose ``x + c[0]`` equals ``1.0 * x + c[0]``.
+_SQRT1_2 = 0.70710678118654752440
+_MAXLOG = 7.09782712893383996843e2
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+          7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERF_U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+          2.26290000613890934246e4, 4.92673942608635921086e4)
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_ERFC_Q = (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+_ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+           6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
+_ERFC_S = (1.0, 2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+           1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
+
+
+def _horner(x: np.ndarray, coefs: tuple[float, ...]) -> np.ndarray:
+    """Cephes' polevl: Horner's rule from the leading coefficient."""
+    y = np.full_like(x, coefs[0])
+    for c in coefs[1:]:
+        y = y * x + c
+    return y
+
+
+def _erf(x: np.ndarray) -> np.ndarray:
+    """Cephes' erf for |x| < 1."""
+    z = x * x
+    return x * _horner(z, _ERF_T) / _horner(z, _ERF_U)
+
+
+def _erfc(z: np.ndarray) -> np.ndarray:
+    """Cephes' erfc for z at or above 1/√2, infinity included: ``1 - erf``
+    below 1, ``exp(-z²)`` times the P/Q rational below 8 and the R/S one
+    above, and 0 once ``-z²`` is below ``-MAXLOG`` (past 27 it always is)."""
+    y = np.zeros_like(z)
+    near = z < 1.0
+    y[near] = 1.0 - _erf(z[near])
+    tail = np.flatnonzero(~near & (z < 27.0))
+    w = z[tail]
+    nz2 = -w * w
+    keep = nz2 >= -_MAXLOG
+    tail, w, nz2 = tail[keep], w[keep], nz2[keep]
+    # math.exp, not np.exp: numpy's SIMD exp differs from libm's in the last bit.
+    e = np.fromiter(map(math.exp, nz2.tolist()), np.float64, len(nz2))
+    y[tail] = np.where(w < 8.0, e * _horner(w, _ERFC_P) / _horner(w, _ERFC_Q),
+                       e * _horner(w, _ERFC_R) / _horner(w, _ERFC_S))
+    return y
+
+
+def _ndtr(a: np.ndarray) -> np.ndarray:
+    """The standard normal CDF of a float64 array, bit for bit
+    ``scipy.special.ndtr``, which is Cephes' ndtr: ``0.5 + 0.5*erf(x)`` for
+    ``x = a/√2`` below 1/√2 in size, else ``0.5*erfc(|x|)``, taken from 1
+    for x > 0. NaN gives NaN."""
+    x = a * _SQRT1_2
+    z = np.abs(x)
+    y = np.full_like(x, np.nan)
+    inner, outer = z < _SQRT1_2, z >= _SQRT1_2
+    y[inner] = 0.5 + 0.5 * _erf(x[inner])
+    y[outer] = 0.5 * _erfc(z[outer])
+    upper = outer & (x > 0)
+    y[upper] = 1.0 - y[upper]
+    return y
+
+
 def black_scholes_call(index, strike, years, sigma):
     """(price, delta) of a European call under a zero-rate lognormal model,
     as floats or as arrays; at or past expiry, or at zero vol, the call is
-    worth its intrinsic value."""
-    # Deferred: importing scipy costs most of a short command's run time.
-    from scipy.special import ndtr
-
+    worth its intrinsic value. The normal CDF is ``_ndtr``, so the bits are
+    those of ``scipy.special.ndtr`` without importing scipy."""
     index, strike, years, sigma = np.broadcast_arrays(
         *(np.asarray(v, dtype=np.float64) for v in (index, strike, years, sigma)))
     price = np.where(index > strike, index - strike, 0.0)
@@ -270,8 +339,8 @@ def black_scholes_call(index, strike, years, sigma):
     # math.log, not np.log: the two differ in the last bit on some ratios.
     log_moneyness = np.array([math.log(r) for r in (index / strike).tolist()])
     d1 = (log_moneyness + 0.5 * sq * sq) / sq
-    n1 = ndtr(d1)
-    price[live] = np.maximum(index * n1 - strike * ndtr(d1 - sq), 0.0)
+    n1 = _ndtr(d1)
+    price[live] = np.maximum(index * n1 - strike * _ndtr(d1 - sq), 0.0)
     delta[live] = np.minimum(np.maximum(n1, 0.0), 1.0)
     return price[()], delta[()]
 

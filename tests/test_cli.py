@@ -155,19 +155,16 @@ def test_import_loads_no_scipy():
     assert _scipy_modules_after("") == []
 
 
-def test_synth_loads_scipy_special_alone():
-    # The planted market needs no scipy; the option chain needs ndtr only.
-    assert _scipy_modules_after("flowcast.synth.gen_market(1, 400)") == []
+def test_synth_loads_no_scipy(tmp_path):
+    # The option chain's normal CDF is synth._ndtr, scipy's ndtr bit for bit.
     chain = ("from flowcast import synth\n"
              "cfg = synth.SynthConfig(seed=1, hours=400, chain=synth.OptionChainSpec())\n"
              "flows, bars = synth.gen_flows_and_prices(cfg)\n"
-             "synth.gen_option_chain(cfg, bars, flows)")
-    loaded = _scipy_modules_after(chain)
-    assert "scipy.special" in loaded
-    assert not [m for m in loaded if m.startswith(("scipy.signal", "scipy.stats"))]
-    # Besides scipy.special, only scipy's private helpers and its version module.
-    public = {m.split(".")[1] for m in loaded if "." in m and not m.split(".")[1].startswith("_")}
-    assert public == {"special", "version"}
+             "assert len(synth.gen_option_chain(cfg, bars, flows))")
+    assert _scipy_modules_after(chain) == []
+    argv = ["synth", "--seed", "1", "--hours", "400", "--out", str(tmp_path / "data")]
+    assert _scipy_modules_after(f"assert flowcast.cli.main({argv!r}) == 0") == []
+    assert (tmp_path / "data" / "options.csv").stat().st_size > 0
 
 
 def test_regress_loads_no_scipy(dataset, tmp_path):

@@ -224,8 +224,30 @@ def test_seconds_refuses_and_never_truncates(duration, allow_zero, message):
 
 
 def test_flow_series_refuses_columns_of_different_lengths():
-    with pytest.raises(ValueError, match="^column length mismatch$"):
+    with pytest.raises(errors.ValidationError) as exc:
         FlowSeries(np.array([0, 3600]), np.array(["ETH"]), np.zeros(2), np.zeros(2))
+    assert type(exc.value) is errors.ValidationError
+    assert str(exc.value) == "FlowSeries: column assets has 1 rows, timestamps has 2"
+
+
+@pytest.mark.parametrize("build, to_csv, message", [
+    (lambda: BarSeries(np.array([0, 300, 600]), np.ones(2), np.ones(2), np.ones(2),
+                       np.ones(2), timedelta(minutes=5)),
+     bars_to_csv, "BarSeries: column open has 2 rows, timestamps has 3"),
+    (lambda: BarSeries(np.array([0, 300]), np.ones(2), np.ones(2), np.ones(2),
+                       np.ones(3), timedelta(minutes=5)),
+     bars_to_csv, "BarSeries: column timestamps has 2 rows, close has 3"),
+    (lambda: QuoteSeries(np.array([0, 3600]), np.ones(2), np.array([7200, 7200]),
+                         np.ones(2), np.ones(2), np.ones(2), np.ones(1)),
+     quotes_to_csv, "QuoteSeries: column deltas has 1 rows, quote_times has 2"),
+], ids=["bars-short-open", "bars-long-close", "quotes-short-deltas"])
+def test_series_refuse_columns_of_different_lengths_before_any_write(tmp_path, build,
+                                                                      to_csv, message):
+    out = tmp_path / "series.csv"
+    with pytest.raises(errors.ValidationError) as exc:
+        out.write_text(to_csv(build()))
+    assert str(exc.value) == message
+    assert not out.exists()
 
 
 def test_parse_bars_duplicate_timestamp(tmp_path):

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 from datetime import timedelta
 
 import numpy as np
@@ -19,6 +20,7 @@ from flowcast.synth import (
     SynthConfig,
     _ar1,
     _ar1_unless_zero,
+    _ndtr,
     black_scholes_call,
     gen_flows_and_prices,
     gen_market,
@@ -178,6 +180,37 @@ def test_black_scholes_on_arrays_matches_scalar_bit_for_bit(calls):
     assert _bits(price) == _bits([p for p, _ in expected])
     assert _bits(delta) == _bits([d for _, d in expected])
     assert _bits(black_scholes_call(*calls[0])) == _bits(expected[0])
+
+
+def _ulp_neighbours(points, n=50):
+    """Each point with its n nearest floats on either side."""
+    points = np.asarray(points, dtype=np.float64)
+    out, lo, hi = [points], points, points
+    for _ in range(n):
+        lo, hi = np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)
+        out += [lo, hi]
+    return np.concatenate(out)
+
+
+def test_ndtr_is_bit_identical_to_scipy():
+    from scipy.special import ndtr
+    rng = np.random.default_rng(20261020)
+    # Branch edges of Cephes' ndtr in a = x·√2: |x| = 1/√2 (erf or erfc),
+    # 1 (1 - erf or the P/Q rational), 8 (P/Q or R/S) and x² = MAXLOG,
+    # where ndtr drops from about 6e-311 to 0 (a ≈ -37.677). The grid over
+    # [-38.6, -37.6] also covers a ≈ -38.5, where the normal tail itself falls
+    # below the least subnormal.
+    edges = np.array([1.0, np.sqrt(2.0), 8.0 * np.sqrt(2.0), 37.67712072049519])
+    a = np.concatenate(
+        [rng.normal(0.0, scale, 100_000) for scale in (0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 40.0)]
+        + [np.linspace(-40.0, 40.0, 800_001), _ulp_neighbours(np.concatenate([edges, -edges])),
+           np.linspace(-38.6, -37.6, 10_001),
+           np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e300, -1e300]),
+           _ulp_neighbours([5e-324, -5e-324, 2.2250738585072014e-308, -2.2250738585072014e-308])])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _ndtr(a)
+    assert np.array_equal(got.view(np.int64), ndtr(a).view(np.int64))
 
 
 AR_VALUES = st.one_of(st.sampled_from((0.0, -0.0, 5e-324, -5e-324, 2.2e-308)),
