@@ -82,6 +82,17 @@ def format_number(x: float) -> str:
     return repr(float(x))
 
 
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of a 1-D array, NaN once, as ``np.unique``
+    gives them, but without its ``np.ma.is_masked`` call, which imports
+    ``numpy.ma``."""
+    ordered = np.sort(values)
+    keep = np.ones(len(ordered), dtype=bool)
+    # NaNs sort last, so an element after a NaN is a NaN.
+    keep[1:] = (ordered[1:] != ordered[:-1]) & (ordered[:-1] == ordered[:-1])
+    return ordered[keep]
+
+
 def _check_lengths(series, *names: str) -> None:
     """Refuse, with ValidationError, a series whose columns ``names`` differ
     in length, naming its shortest column and its longest."""
@@ -128,7 +139,7 @@ class FlowSeries:
         return self.inflow_usd - self.outflow_usd
 
     def asset_set(self) -> list[Asset]:
-        return [Asset(a) for a in np.unique(self.assets)]
+        return [Asset(a) for a in _distinct(self.assets)]
 
     def select(self, asset: Asset | str) -> "FlowSeries":
         mask = self.assets == str(Asset(asset).value)
@@ -162,15 +173,12 @@ class BarSeries:
     def runs(self) -> tuple[np.ndarray, np.ndarray]:
         """First and one-past-last row of each run of bars one ``frequency`` apart."""
         f_s, ts = _seconds(self.frequency, "bar frequency"), self.timestamps
-        return (np.flatnonzero(np.diff(ts, prepend=ts[:1]) != f_s),
-                np.flatnonzero(np.diff(ts, append=ts[-1:]) != f_s) + 1)
-
-    @cached_property
-    def row_returns(self) -> np.ndarray:
-        """Read-only ``close[j+1] / close[j] - 1`` for each row j but the last."""
-        ret = self.close[1:] / self.close[:-1] - 1.0
-        ret.flags.writeable = False
-        return ret
+        # One difference per bar is the only temporary the size of the bars.
+        cuts = np.flatnonzero(np.diff(ts) != f_s) + 1
+        if not len(ts):
+            return cuts, cuts
+        bounds = np.concatenate(([0], cuts, [len(ts)]))
+        return bounds[:-1], bounds[1:]
 
 
 class QuoteSeries:

@@ -369,11 +369,14 @@ def run_grid(data: MarketData,
              models: Sequence[str] = MODELS,
              min_obs: int = DEFAULT_MIN_OBS,
              hac_lags: int | None = None) -> list[HeatmapCell]:
-    """One cell per (pair, target, horizon, model); failed cells are marked.
+    """One cell per (pair, target, horizon, model), in that order; failed
+    cells are marked.
 
-    An unknown target or model raises ``InvalidConfig`` before any fit. Each
-    (asset, horizon) series is built once and shared by the cells that use
-    it; one that fails to build fails again, with the same message, in each
+    An unknown target or model raises ``InvalidConfig`` before any fit. The
+    cells are fitted one horizon at a time: each (asset, horizon) series is
+    built once, shared by that horizon's cells that use it and dropped before
+    the next horizon, so the series of one horizon at most are held at once.
+    A series that fails to build fails again, with the same message, in each
     of its cells.
     """
     for what, given, allowed in (("target", targets, TARGETS), ("model", models, MODELS)):
@@ -381,13 +384,11 @@ def run_grid(data: MarketData,
             if value not in allowed:
                 raise InvalidConfig(f"unknown {what} {value!r}; allowed: {', '.join(allowed)}")
 
-    @functools.cache
     def inflows(asset: Asset, horizon: timedelta) -> NetInflowSeries:
         if asset not in data.flows:
             raise InvalidConfig(f"no flow data for {asset.value}")
         return net_inflows(data.flows[asset], horizon)
 
-    @functools.cache
     def response(asset: Asset, target: str, horizon: timedelta) -> ReturnSeries | VolSeries:
         if asset not in data.bars:
             raise InvalidConfig(f"no bar data for {asset.value}")
@@ -395,29 +396,31 @@ def run_grid(data: MarketData,
             return returns(data.bars[asset], horizon)
         return realized_vol(data.bars[asset], horizon)
 
-    cells = []
-    for pair in pairs:
-        for target in targets:
-            for horizon in horizons:
-                for model in models:
-                    try:
-                        predictor = inflows(pair[0], horizon)
-                        resp = response(pair[1], target, horizon)
-                        sample = align(predictor, resp,
-                                       control=resp if model == MODEL_DOUBLE else None)
-                        need = max(min_obs, 4 if model == MODEL_DOUBLE else 3)
-                        if sample.n < need:
-                            raise TooFewObservations(f"n={sample.n} below minimum {need}")
-                        fit = ols_fit(sample, hac_lags=hac_lags)
-                        del sample  # before the next cell's series, so peak holds one
-                        cell = HeatmapCell(pair, target, horizon, model,
-                                           beta1=float(fit.beta[1]),
-                                           stars=significance(float(fit.t_stat[1]), fit.n, fit.k))
-                    except FlowcastError as exc:
-                        cell = HeatmapCell(pair, target, horizon, model,
-                                           error=f"{type(exc).__name__}: {exc}")
-                    cells.append(cell)
-    return cells
+    def cell(predictor_of, response_of, pair: tuple[Asset, Asset], target: str,
+             horizon: timedelta, model: str) -> HeatmapCell:
+        try:
+            predictor = predictor_of(pair[0], horizon)
+            resp = response_of(pair[1], target, horizon)
+            sample = align(predictor, resp, control=resp if model == MODEL_DOUBLE else None)
+            need = max(min_obs, 4 if model == MODEL_DOUBLE else 3)
+            if sample.n < need:
+                raise TooFewObservations(f"n={sample.n} below minimum {need}")
+            fit = ols_fit(sample, hac_lags=hac_lags)
+            return HeatmapCell(pair, target, horizon, model, beta1=float(fit.beta[1]),
+                               stars=significance(float(fit.t_stat[1]), fit.n, fit.k))
+        except FlowcastError as exc:
+            return HeatmapCell(pair, target, horizon, model, error=f"{type(exc).__name__}: {exc}")
+
+    cells = {}
+    for h, horizon in enumerate(horizons):
+        # This horizon's series only: the last horizon's cache goes with it.
+        predictor_of, response_of = functools.cache(inflows), functools.cache(response)
+        for p, pair in enumerate(pairs):
+            for t, target in enumerate(targets):
+                for m, model in enumerate(models):
+                    cells[p, t, h, m] = cell(predictor_of, response_of,
+                                             pair, target, horizon, model)
+    return [cells[key] for key in sorted(cells)]
 
 
 # ---------------------------------------------------------------------------

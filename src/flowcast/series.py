@@ -15,7 +15,9 @@ Conventions shared by every series here:
   filled.
 * Returns and volatility read the sorted bars row by row, so their cost
   follows the bars, not the time they span; bars off the epoch grid of
-  their frequency open no window.
+  their frequency open no window. Volatility takes its sub-returns from
+  the closes a block of windows at a time, so beyond its result it holds
+  one block (about ``_VOL_BLOCK_RETURNS`` returns), not a return per bar.
 * Each horizon series keeps its bucket grid once ``align`` first asks for
   it: one bool and one value per bucket from the series' first point to
   its last, so it follows the span of the points, not their count. A
@@ -45,6 +47,8 @@ from .ingest import Asset, BarSeries, FlowSeries, _seconds, format_timestamp
 
 HOUR = timedelta(hours=1)
 USD_PER_MUSD = 1e6
+# Sub-returns per block of ``realized_vol`` windows: 512 KB of float64.
+_VOL_BLOCK_RETURNS = 1 << 16
 
 
 class _BucketGrid(NamedTuple):
@@ -189,21 +193,31 @@ def realized_vol(bars: BarSeries, horizon: timedelta) -> VolSeries:
     """Sample std of sub-bar simple returns within each horizon window.
 
     The bars themselves are the sub-bars: ``bars.frequency`` must divide
-    the horizon with at least two bars per window.
+    the horizon with at least two bars per window. The sub-returns are
+    taken from ``close`` a block of windows at a time, about
+    ``_VOL_BLOCK_RETURNS`` of them, so no temporary spans every bar. A
+    window is one contiguous row of its block, so ``np.std`` sums it in the
+    same order whatever the block size, and the bits do not depend on it.
     """
     t, rows, nsub = _windows(bars, horizon, "sub_frequency")
     if nsub < 2:
         raise InsufficientSubBars(
             f"{horizon} window holds {nsub} sub-bar(s); need at least 2")
-    if len(t) == 0:
-        return VolSeries(bars.asset, horizon, t, np.empty(0))
-    # The window opening at row r holds the returns into rows r+1 .. r+nsub.
-    view = np.lib.stride_tricks.sliding_window_view(bars.row_returns, nsub)
-    # Windows nsub rows apart are a view; a gather copies every bar's return on
-    # each call, which a long-lived process pays for in page faults.
-    one_stride = rows[-1] - rows[0] == (len(rows) - 1) * nsub
-    windows = view[rows[0]::nsub][:len(rows)] if one_stride else view[rows]
-    return VolSeries(bars.asset, horizon, t, np.std(windows, axis=1, ddof=1))
+    vols, close = np.empty(len(t)), bars.close
+    step = max(_VOL_BLOCK_RETURNS // nsub, 1)
+    for lo in range(0, len(rows), step):
+        # The window opening at row r holds the returns into rows r+1 .. r+nsub.
+        block = rows[lo:lo + step]
+        if block[-1] - block[0] == (len(block) - 1) * nsub:
+            # Back-to-back windows, as on gapless bars: one slice of closes,
+            # without the gather below, which cost 5% of the planted rate.
+            c = close[block[0]:block[0] + len(block) * nsub + 1]
+            sub = (c[1:] / c[:-1] - 1.0).reshape(len(block), nsub)
+        else:
+            c = np.lib.stride_tricks.sliding_window_view(close, nsub + 1)[block]
+            sub = c[:, 1:] / c[:, :-1] - 1.0
+        vols[lo:lo + step] = np.std(sub, axis=1, ddof=1)
+    return VolSeries(bars.asset, horizon, t, vols)
 
 
 def align(predictor: NetInflowSeries, response: ReturnSeries | VolSeries,

@@ -42,7 +42,8 @@ from typing import Mapping
 import numpy as np
 
 from .errors import InvalidConfig
-from .ingest import Asset, BarSeries, FlowSeries, QuoteSeries, _seconds, format_timestamp
+from .ingest import (Asset, BarSeries, FlowSeries, QuoteSeries, _distinct, _seconds,
+                     format_timestamp)
 from .regress import MarketData
 from .series import HOUR
 
@@ -193,7 +194,8 @@ def gen_price_bars(seq: np.random.SeedSequence, cfg: SynthConfig,
                    vol_betas: Mapping[Asset, float]) -> BarSeries:
     """Sub-hourly bars of ``cfg.asset``, planted on ``flows``. Refuses, with
     InvalidConfig, flows that do not cover the generation grid and plants
-    that drive a close out of the finite positive floats."""
+    that drive a close out of the finite positive floats. The opens and the
+    closes are views of one buffer, the opens one bar behind."""
     rng = np.random.default_rng(seq)
     hours = cfg.hours
     sub_s = _seconds(cfg.sub_frequency, "sub_frequency")
@@ -223,20 +225,27 @@ def gen_price_bars(seq: np.random.SeedSequence, cfg: SynthConfig,
                        cfg.vol_floor)
     sigma_hour = np.repeat(sigma, vh)
 
-    # Sub-bars compound exactly to the hourly gross return.
-    z = rng.standard_normal(size=(hours, nsub))
-    u = np.maximum(sigma_hour[:, None] * z, _SUB_CLIP)
+    # Sub-bars compound exactly to the hourly gross return. The draws become
+    # the closes in place, in buf[1:], so buf[:-1] is the opens and no step
+    # takes a second (hours, nsub) array but the log1p one, freed once c is
+    # taken. Multiplication commutes, so the bits are those of
+    # level * cumprod((g * c) * (1 + u)).
+    buf = np.empty(hours * nsub + 1)
+    buf[0] = cfg.init_price
+    u = rng.standard_normal(out=buf[1:].reshape(hours, nsub))
+    np.maximum(np.multiply(sigma_hour[:, None], u, out=u), _SUB_CLIP, out=u)
     g = (1.0 + hourly_ret) ** (1.0 / nsub)
     c = np.exp(-np.mean(np.log1p(u), axis=1))
-    factors = (g * c)[:, None] * (1.0 + u)
+    np.add(1.0, u, out=u)
+    u *= (g * c)[:, None]
 
     level = np.empty(hours + 1)
     level[0] = cfg.init_price
     level[1:] = cfg.init_price * np.cumprod(1.0 + hourly_ret)
-    closes = (level[:-1, None] * np.cumprod(factors, axis=1)).ravel()
-    opens = np.concatenate(([cfg.init_price], closes[:-1]))
+    np.multiply(level[:-1, None], np.cumprod(u, axis=1, out=u), out=u)
+    opens, closes = buf[:-1], buf[1:]
 
-    ts = DEFAULT_START + sub_s * np.arange(hours * nsub, dtype=np.int64)
+    ts = np.arange(DEFAULT_START, DEFAULT_START + sub_s * hours * nsub, sub_s, dtype=np.int64)
     bad = np.flatnonzero(~(np.isfinite(closes) & (closes > 0)))
     if len(bad):
         raise InvalidConfig(f"the plants drive the {cfg.asset.value} close at "
@@ -381,8 +390,8 @@ def gen_option_chain(cfg: SynthConfig, bars: BarSeries, flows: FlowSeries) -> Qu
         # Halve the step, for this expiry only, until no two rungs round
         # onto one strike (rungs repeated in moneyness aside).
         raw, step = np.array(spec.moneyness) * index[a], STRIKE_STEP
-        rungs = len(np.unique(raw))
-        while len(strikes := np.unique(np.round(raw / step) * step)) < rungs:
+        rungs = len(_distinct(raw))
+        while len(strikes := _distinct(np.round(raw / step) * step)) < rungs:
             step /= 2
         hour.append(np.repeat(np.arange(a, b), len(strikes)))
         strike.append(np.tile(strikes, b - a))

@@ -136,13 +136,13 @@ def test_ingest_check_rejects_non_utf8_input(tmp_path, capsys, flag, text):
     assert err == f"validation error: {bad}: not valid UTF-8\n"
 
 
-def _scipy_modules_after(code):
-    """The scipy modules a fresh interpreter holds after running ``code``."""
+def _modules_after(code, package="scipy"):
+    """The modules of ``package`` a fresh interpreter holds after running ``code``."""
     src = str(Path(flowcast.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     probe = (f"import sys, flowcast, flowcast.cli\n{code}\n"
-             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+             f"print(sorted(m for m in sys.modules if (m + '.').startswith({package + '.'!r})))")
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True, timeout=60).stdout
     return ast.literal_eval(out.splitlines()[-1])  # after what ``code`` prints
@@ -152,7 +152,7 @@ def test_import_loads_no_scipy():
     # Importing scipy costs most of a short command's run time; only the
     # functions that call it may load it. Tests import flowcast in-process,
     # so only a fresh interpreter shows what the import itself loads.
-    assert _scipy_modules_after("") == []
+    assert _modules_after("") == []
 
 
 def test_synth_loads_no_scipy(tmp_path):
@@ -161,9 +161,9 @@ def test_synth_loads_no_scipy(tmp_path):
              "cfg = synth.SynthConfig(seed=1, hours=400, chain=synth.OptionChainSpec())\n"
              "flows, bars = synth.gen_flows_and_prices(cfg)\n"
              "assert len(synth.gen_option_chain(cfg, bars, flows))")
-    assert _scipy_modules_after(chain) == []
+    assert _modules_after(chain) == []
     argv = ["synth", "--seed", "1", "--hours", "400", "--out", str(tmp_path / "data")]
-    assert _scipy_modules_after(f"assert flowcast.cli.main({argv!r}) == 0") == []
+    assert _modules_after(f"assert flowcast.cli.main({argv!r}) == 0") == []
     assert (tmp_path / "data" / "options.csv").stat().st_size > 0
 
 
@@ -174,12 +174,29 @@ def test_regress_loads_no_scipy(dataset, tmp_path):
     argv = ["regress", "--flows", str(dataset / "flows.csv"),
             "--bars-eth", str(dataset / "bars_eth.csv"),
             "--bars-btc", str(dataset / "bars_btc.csv"), "--daily-weekly", "--out", str(out)]
-    assert _scipy_modules_after(f"assert flowcast.cli.main({argv!r}) == 0") == []
+    assert _modules_after(f"assert flowcast.cli.main({argv!r}) == 0") == []
     assert any(cell["stars"] for cell in json.loads((out / "grid.json").read_text()))
     grid = ("from flowcast import regress, synth\n"
             "cells = regress.run_grid(synth.gen_market(1, 1200))\n"
             "assert any(cell.stars for cell in cells)")
-    assert _scipy_modules_after(grid) == []
+    assert _modules_after(grid) == []
+
+
+@pytest.mark.parametrize("command", ["synth", "ingest-check", "regress"])
+def test_command_loads_no_numpy_ma(dataset, tmp_path, command):
+    # np.unique imports numpy.ma (for np.ma.is_masked), 10-14 ms of a short
+    # command; distinct values are taken by a sort instead.
+    argv = {
+        "synth": ["synth", "--seed", "1", "--hours", "400", "--out", str(tmp_path / "data")],
+        "ingest-check": ["ingest-check", "--flows", str(dataset / "flows.csv"),
+                         "--bars", str(dataset / "bars_eth.csv"),
+                         "--options", str(dataset / "options.csv")],
+        "regress": ["regress", "--flows", str(dataset / "flows.csv"),
+                    "--bars-eth", str(dataset / "bars_eth.csv"),
+                    "--bars-btc", str(dataset / "bars_btc.csv"), "--out", str(tmp_path / "grid")],
+    }[command]
+    code = f"assert flowcast.cli.main({argv!r}) == 0"
+    assert _modules_after(code, "numpy.ma") == []
 
 
 def test_regress_full_grid(dataset, tmp_path):

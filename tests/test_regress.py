@@ -1,5 +1,7 @@
+import itertools
 import math
 import time
+import tracemalloc
 from datetime import timedelta
 
 import numpy as np
@@ -14,11 +16,14 @@ from conftest import T0
 from flowcast import errors, regress
 from flowcast.ingest import Asset, BarSeries, FlowSeries
 from flowcast.regress import (
+    DEFAULT_HORIZONS,
     DEFAULT_PAIRS,
+    MODELS,
     MODEL_DOUBLE,
     MODEL_SINGLE,
     DAILY_WEEKLY_HORIZONS,
     TARGET_VOLATILITY,
+    TARGETS,
     MarketData,
     design_matrix,
     grid_from_json,
@@ -415,6 +420,44 @@ def test_run_grid_shape_and_planted_signs():
     assert btc_vol.sign == "negative" and btc_vol.stars == "***"
     usdt_eth = by_key[((Asset.USDT, Asset.ETH), "return", H1, MODEL_DOUBLE)]
     assert usdt_eth.sign == "positive"
+
+
+def _held_bytes(arrays) -> int:
+    """Bytes of the buffers behind ``arrays``, each buffer once: a synthetic
+    bar series' opens and closes are views of one."""
+    buffers = (a if a.base is None else a.base for a in arrays)
+    return sum({id(b): b.nbytes for b in buffers}.values())
+
+
+def test_grid_study_runs_in_bounded_memory():
+    # gen_market peaks at the arrays it returns plus one (hours, nsub)
+    # temporary, and run_grid above its input at one horizon's series plus
+    # one block of volatility windows. At 12,000 hours these came to 1.12x
+    # and 0.34x. Drawing the bars through whole-array temporaries reached
+    # 1.36x, a series cache over every horizon 0.69x, and volatility over one
+    # array of every bar's return 0.59x. 12,000 hours hold several blocks.
+    run_grid(_planted_market(hours=200))  # imports and first-use caches
+    tracemalloc.start()
+    try:
+        market = _planted_market(hours=12_000)
+        gen_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        cells = run_grid(market)
+        grid_peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    bars = _held_bytes(a for s in market.bars.values()
+                       for a in (s.timestamps, s.open, s.high, s.low, s.close))
+    flows = _held_bytes(a for f in market.flows.values()
+                        for a in (f.timestamps, f.assets, f.inflow_usd, f.outflow_usd))
+    assert gen_peak < 1.25 * (bars + flows)
+    assert grid_peak < 0.45 * bars
+    # One horizon at a time, yet the cells keep the (pair, target, horizon,
+    # model) order.
+    assert [(c.pair, c.target, c.horizon, c.model) for c in cells] == list(
+        itertools.product(DEFAULT_PAIRS, TARGETS, DEFAULT_HORIZONS, MODELS))
+    assert not any(c.error for c in cells)
 
 
 def test_run_grid_marks_rank_deficient_cells():

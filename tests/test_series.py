@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import oracles
 from conftest import T0, make_bars, make_flows
 from flowcast import errors
-from flowcast.ingest import Asset, bars_to_csv, parse_bars
+from flowcast.ingest import Asset, BarSeries, bars_to_csv, parse_bars
 from flowcast.series import (NetInflowSeries, ReturnSeries, VolSeries, align, net_inflows,
                              realized_vol, returns)
 
@@ -277,6 +277,42 @@ def test_vol_with_gaps_in_the_first_and_last_windows_matches_window_loop(rng):
     assert list(want) == [T0 + 3600 * k for k in range(2, 9)]
     assert got.timestamps.tolist() == list(want)
     assert [v.hex() for v in got.values.tolist()] == [v.hex() for v in want.values()]
+
+
+def _vol_block_cases():
+    rng = np.random.default_rng(30)
+    path = 100.0 * np.exp(np.cumsum(rng.normal(0, 0.002, size=12 * 40)))
+
+    def runs(*pieces):
+        """Bars of 5-minute runs, each (first timestamp, bar count)."""
+        ts = np.concatenate([t + 300 * np.arange(n) for t, n in pieces]).astype(np.int64)
+        return BarSeries(ts, path[:len(ts)], path[:len(ts)], path[:len(ts)], path[:len(ts)], M5)
+
+    return {
+        # 7 one-hour windows: a last block of one window in blocks of 1, 2 or 3.
+        "gapless": make_bars(path[:12 * 7 + 1], frequency=M5, start=T0 - 300),
+        "gappy": make_bars(path, frequency=M5, gaps=(11, 50, 51, 200, 333)),
+        # After the gap the windows open 10 minutes into the second run.
+        "multi-run": runs((T0 - 300, 12 * 14 + 1), (T0 + 3600 * 17 + 300, 12 * 20)),
+        # A run a minute off the 5-minute grid opens no window; the run after it does.
+        "off-grid": runs((T0 + 60, 12 * 5), (T0 + 3600 * 6 - 300, 12 * 7 + 1)),
+    }
+
+
+@pytest.mark.parametrize("windows", [1, 2, 3])
+def test_vol_blocks_match_the_window_loop_at_every_edge(monkeypatch, windows):
+    cases = _vol_block_cases()
+    assert len(realized_vol(cases["gapless"], H1)) == 7
+    for name, bars in cases.items():
+        for hours in (1, 2, 3):
+            # A block of `windows` windows of 12 * hours sub-returns each.
+            monkeypatch.setattr("flowcast.series._VOL_BLOCK_RETURNS", windows * 12 * hours)
+            got = realized_vol(bars, timedelta(hours=hours))
+            want = oracles.window_vols(bars.timestamps, bars.close, 300, 3600 * hours,
+                                       std=oracles.numpy_std)
+            assert len(want) >= 2, (name, hours)
+            assert got.timestamps.tolist() == list(want), (name, hours)
+            assert [v.hex() for v in got.values.tolist()] == [v.hex() for v in want.values()]
 
 
 def test_return_composition_over_sub_bars(rng):
