@@ -23,7 +23,6 @@ from datetime import timedelta
 from pathlib import Path
 
 import click
-import numpy as np
 
 from . import events as events_mod
 from . import ingest, options, regress, synth
@@ -366,6 +365,7 @@ def cmd_backtest(flows, options_path, asset, pct, legs, side, holding_hours,
 def cmd_synth(seed, hours, usdt_eth_ret, eth_eth_ret, usdt_btc_ret, btc_btc_vol,
               return_ar, noise_sd, sub_frequency_minutes, iv_base, iv_flow_beta, out):
     """Write a planted synthetic dataset in the ingestion CSV schemas."""
+    import numpy as np
     sub = timedelta(minutes=sub_frequency_minutes)
     chain_cfg = synth.SynthConfig(
         seed=seed, hours=hours, noise_sd=noise_sd, sub_frequency=sub,

@@ -12,9 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from datetime import datetime, timedelta
-from typing import Iterable
+from typing import Iterable, TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:  # annotations only: each function imports numpy as it runs
+    import numpy as np
 
 from .errors import EmptyYear, FrequencyMismatch, InsufficientCoverage
 from .ingest import (ASSET, INTEGER, NUMBER, TIMESTAMP, Asset, BarSeries, _seconds,
@@ -48,6 +49,7 @@ def threshold_percentile(k: int, observations: int) -> float:
 
 def utc_years(epochs: np.ndarray) -> np.ndarray:
     """UTC calendar year of each epoch second."""
+    import numpy as np
     instants = np.asarray(epochs, dtype=np.int64).astype("datetime64[s]")
     return instants.astype("datetime64[Y]").astype(np.int64) + 1970
 
@@ -61,6 +63,7 @@ def detect_extremes(series: NetInflowSeries, k: int,
     flagged once. By default the largest net inflows are flagged;
     ``most_negative`` flips the ranking to catch extreme net outflows instead.
     """
+    import numpy as np
     if k < 1:
         raise EmptyYear(f"k must be >= 1, got {k}")
     if series.horizon != HOUR:
@@ -90,6 +93,7 @@ def _track(grid: np.ndarray, timestamps: np.ndarray, values: np.ndarray, offset:
            missing: str) -> np.ndarray:
     """The value stamped t + offset for each grid hour t; the first hour
     without one raises InsufficientCoverage."""
+    import numpy as np
     i = np.searchsorted(timestamps, grid + offset)
     found = i < len(timestamps)
     found[found] = timestamps[i[found]] == grid[found] + offset
@@ -104,6 +108,7 @@ def extract_window(event: EventHit, hourly: NetInflowSeries, bars: BarSeries,
     hour's epoch second, the event asset's net inflow in it (US$M) and the
     close of its last bar (USD). ``pre`` and ``post`` must be non-negative
     whole hours."""
+    import numpy as np
     for name, span in (("pre", pre), ("post", post)):
         if span % HOUR:
             raise InsufficientCoverage(f"{name} {span} is not a whole number of hours")

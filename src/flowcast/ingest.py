@@ -22,9 +22,10 @@ from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence, TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:  # annotations only: each function imports numpy as it runs
+    import numpy as np
 
 from .errors import (DeltaOutOfRange, DuplicateTimestamp, ExpiredAtQuote, FrequencyMismatch,
                      MalformedRow, NegativeFlow, NonPositivePrice, ValidationError)
@@ -55,6 +56,7 @@ def parse_timestamp(text: str) -> int:
 
 
 def format_timestamp(epoch: int | float) -> str:
+    import numpy as np
     return _timestamp_text(np.array([int(epoch)], dtype=np.int64))[0]
 
 
@@ -86,6 +88,7 @@ def _distinct(values: np.ndarray) -> np.ndarray:
     """The sorted distinct values of a 1-D array, NaN once, as ``np.unique``
     gives them, but without its ``np.ma.is_masked`` call, which imports
     ``numpy.ma``."""
+    import numpy as np
     ordered = np.sort(values)
     keep = np.ones(len(ordered), dtype=bool)
     # NaNs sort last, so an element after a NaN is a NaN.
@@ -125,6 +128,7 @@ class FlowSeries:
 
     def __init__(self, timestamps: np.ndarray, assets: np.ndarray,
                  inflow_usd: np.ndarray, outflow_usd: np.ndarray):
+        import numpy as np
         self.timestamps = np.asarray(timestamps, dtype=np.int64)
         self.assets = np.asarray(assets, dtype="U4")
         self.inflow_usd = np.asarray(inflow_usd, dtype=np.float64)
@@ -157,6 +161,7 @@ class BarSeries:
     def __init__(self, timestamps: np.ndarray, open_: np.ndarray, high: np.ndarray,
                  low: np.ndarray, close: np.ndarray, frequency: timedelta,
                  asset: Asset | None = None):
+        import numpy as np
         self.timestamps = np.asarray(timestamps, dtype=np.int64)
         self.open = np.asarray(open_, dtype=np.float64)
         self.high = np.asarray(high, dtype=np.float64)
@@ -172,6 +177,7 @@ class BarSeries:
     @cached_property
     def runs(self) -> tuple[np.ndarray, np.ndarray]:
         """First and one-past-last row of each run of bars one ``frequency`` apart."""
+        import numpy as np
         f_s, ts = _seconds(self.frequency, "bar frequency"), self.timestamps
         # One difference per bar is the only temporary the size of the bars.
         cuts = np.flatnonzero(np.diff(ts) != f_s) + 1
@@ -188,6 +194,7 @@ class QuoteSeries:
                  expiries: np.ndarray, option_prices: np.ndarray,
                  index_prices: np.ndarray, implied_vols: np.ndarray,
                  deltas: np.ndarray):
+        import numpy as np
         self.quote_times = np.asarray(quote_times, dtype=np.int64)
         self.strikes = np.asarray(strikes, dtype=np.float64)
         self.expiries = np.asarray(expiries, dtype=np.int64)
@@ -204,6 +211,7 @@ class QuoteSeries:
     def instruments(self) -> tuple[np.ndarray, np.ndarray]:
         """(order, ids): the stable sort by (strike, expiry), which keeps each
         instrument's quotes in time order, and each sorted quote's instrument, from 0."""
+        import numpy as np
         order = np.lexsort((self.expiries, self.strikes))
         strikes, expiries = self.strikes[order], self.expiries[order]
         new = np.ones(len(order), dtype=bool)
@@ -254,38 +262,49 @@ def _parse_asset(text: str, name: str) -> str:
         raise ValueError(f"unknown {name} {text!r}") from None
 
 
-_CANONICAL = np.frombuffer(b"0000-00-00T00:00:00Z\0", np.uint8)  # each 0 stands for a digit
+_CANONICAL = b"0000-00-00T00:00:00Z\0"  # each 0 stands for a digit
 
 
 def _take_timestamps(text: np.ndarray, step: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """Takes the ``S21`` texts spelt YYYY-MM-DDTHH:MM:SSZ, not in year 0000
     (which ``parse`` rejects) and with a NUL 21st byte (a cast to ``S21``
     truncates a longer text), whose epoch is a multiple of ``step``."""
+    import numpy as np
+    canonical = np.frombuffer(_CANONICAL, np.uint8)
     b = np.ascontiguousarray(text).view(np.uint8).reshape(len(text), 21)
-    took = (b[:, :4] != 48).any(1) & np.where(_CANONICAL == 48, (b >= 48) & (b <= 57),
-                                              b == _CANONICAL).all(1)
+    took = (b[:, :4] != 48).any(1) & np.where(canonical == 48, (b >= 48) & (b <= 57),
+                                              b == canonical).all(1)
     values = np.where(took, text.astype("S19"), b"1970-01-01T00:00:00").astype(
         "datetime64[s]").astype(np.int64)  # raises on a date such as 2021-02-29
     return values, took & (values % step == 0)
 
 
 def _finite(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    import numpy as np
     return values, np.isfinite(values)
 
 
 def _timestamp_text(col: np.ndarray) -> list[str]:
+    import numpy as np
     return np.datetime_as_string(col.astype("datetime64[s]"), unit="s",
                                  timezone="UTC").tolist()
 
 
 _ASSETS = frozenset(a.value for a in Asset)
-_ASSET_TEXT = np.array(sorted(_ASSETS), "S5")  # S5: a cast truncates a longer text to no asset
 _PLAIN = b"0123456789.,:+-eETZ\n" + "".join(_ASSETS).encode()  # the bytes of canonical rows
+
+
+def _take_assets(col: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Takes the ``S5`` texts that name an asset (a cast to ``S5`` truncates
+    a longer text to no asset)."""
+    import numpy as np
+    return col.astype("U4"), np.isin(col, np.array(sorted(_ASSETS), "S5"))
+
+
 TIMESTAMP = Kind(_parse_ts, "int64", _timestamp_text, "S21", _take_timestamps)
 HOUR = Kind(_parse_hour, "int64", _timestamp_text, "S21", lambda col: _take_timestamps(col, 3600))
 NUMBER = Kind(_parse_number, "float64", lambda col: list(map(repr, col.tolist())), "f8", _finite)
-ASSET = Kind(_parse_asset, "U4", np.ndarray.tolist,
-             "S5", lambda col: (col.astype("U4"), np.isin(col, _ASSET_TEXT)))
+ASSET = Kind(_parse_asset, "U4", lambda col: col.tolist(), "S5", _take_assets)
 INTEGER = Kind(None, "int64", lambda col: list(map(str, col.tolist())))  # written only
 
 
@@ -352,6 +371,7 @@ def read_table(path: str | Path, schema: Schema) -> list[np.ndarray]:
     other by ``csv`` one record at a time, which raises the first faulty
     record's error. A bad field count, a ``csv.Error`` or a byte that is not
     UTF-8 is reported only if no earlier record is faulty."""
+    import numpy as np
     data = Path(path).read_bytes()
     columns = _load_canonical(data, schema)
     if columns is None:
@@ -371,6 +391,7 @@ def _load_canonical(data: bytes, schema: Schema) -> list[np.ndarray] | None:
     pass their checks, or None. Canonical: the exact header line, then rows of
     ``_PLAIN`` bytes ending in ``\\n``, none over the field limit, once the
     spellings below are rewritten and blank lines dropped."""
+    import numpy as np
     head = ",".join(name for name, _ in schema.columns).encode() + b"\n"
     if b"\r" in data:  # a lone CR stays and declines the file
         data = data.replace(b"\r\n", b"\n")
@@ -406,6 +427,7 @@ def _load_canonical(data: bytes, schema: Schema) -> list[np.ndarray] | None:
 def _read_records(data: bytes, path: str | Path, schema: Schema) -> list[np.ndarray]:
     """The unsorted columns of ``data`` read by ``csv`` one record at a time;
     raises its first fault. Blank records are skipped but counted as lines."""
+    import numpy as np
     header = [name for name, _ in schema.columns]
     rows = []
     with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="") as fh:
@@ -432,6 +454,7 @@ def _read_records(data: bytes, path: str | Path, schema: Schema) -> list[np.ndar
 
 def write_table(columns: Sequence[tuple[str, Kind]], values: Sequence) -> str:
     """Canonical CSV text of ``values``, one sequence per (name, kind) column."""
+    import numpy as np
     arrays = [np.asarray(col, dtype=kind.dtype) for (_, kind), col in zip(columns, values)]
     text = [",".join(name for name, _ in columns) + "\n"]
     step = 8192  # rows per pass: bounds the field strings alive at once
@@ -457,6 +480,7 @@ def parse_bars(path: str | Path, frequency: timedelta,
     Returns the sorted bars together with the number of bars missing
     between the first and the last (gaps). Gaps are never filled.
     """
+    import numpy as np
     freq_s = _seconds(frequency, "bar frequency")
     ts, open_, high, low, close = read_table(path, BARS)
     off_grid = np.flatnonzero((ts - ts[:1]) % freq_s)

@@ -30,8 +30,10 @@ import math
 import logging
 from dataclasses import dataclass
 from datetime import timedelta
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:  # annotations only: each function imports numpy as it runs
+    import numpy as np
 
 from .errors import InstrumentMismatch, InvalidConfig, NoMatchingQuotes, ZeroEntryPrice
 from .ingest import OptionQuote, QuoteSeries, _seconds, format_number
@@ -103,6 +105,7 @@ def call_price(q: OptionQuote) -> float:
 
 def otm_range(strike: float | np.ndarray, index: float | np.ndarray) -> float | np.ndarray:
     """Signed fractional moneyness (strike - index) / index, of floats or arrays."""
+    import numpy as np
     if np.any(index <= 0):
         raise InvalidConfig(f"index price must be positive, got {np.min(index)}")
     return (strike - index) / index
@@ -111,6 +114,7 @@ def otm_range(strike: float | np.ndarray, index: float | np.ndarray) -> float | 
 def initial_capital(delta: float | np.ndarray,
                     index: float | np.ndarray) -> float | np.ndarray:
     """Capital posted per trade: (0.3 + delta) * index, of floats or arrays."""
+    import numpy as np
     if np.any(index <= 0):
         raise InvalidConfig(f"index price must be positive, got {np.min(index)}")
     return (MARGIN_FACTOR + delta) * index
@@ -194,6 +198,7 @@ class BucketKey:
     def mask(self, implied_vol: np.ndarray, moneyness: np.ndarray) -> np.ndarray:
         """Which trades, given by their entry implied vol and moneyness, fall in
         the bucket; a NaN falls in no bounded interval."""
+        import numpy as np
         mask = np.ones(len(implied_vol), dtype=bool)
         for values, bound, inside in ((implied_vol, self.iv_min, np.greater_equal),
                                       (moneyness, self.otm_lo, np.greater_equal),
@@ -253,6 +258,7 @@ def bucket_stats(implied_vol: np.ndarray, moneyness: np.ndarray, r_net: np.ndarr
     of summed winning to summed losing net returns instead. Undefined ratios
     (no trades, or no losses) are reported as None.
     """
+    import numpy as np
     selected = r_net[key.mask(implied_vol, moneyness)]
     total = len(selected)
     if total == 0:
@@ -286,6 +292,28 @@ class BacktestDiagnostics:
     zero_price_skips: int = 0
 
 
+def _quantile(values: np.ndarray, q: float) -> float:
+    """``np.quantile(values, q)`` of a float sample, bit for bit, by numpy's
+    default "linear" rule but without its ``np.unique`` call, which imports
+    ``numpy.ma``. As numpy does, it partitions the sample at the same
+    indices (which signed zero lands where depends on them), takes the
+    neighbours below and above the virtual index ``(n-1)*q``, or the last
+    value twice from n-1 on, where the weight becomes ``(n-1)*q + 1``, and
+    blends them from the nearer side, as ``_lerp`` does. A NaN sorts last
+    and is the quantile."""
+    import numpy as np
+    n = len(values)
+    at = (n - 1) * q
+    lo = -1 if at >= n - 1 else math.floor(at)
+    hi = -1 if lo == -1 else lo + 1
+    ordered = np.partition(values, sorted({0, -1, lo, hi}))
+    if math.isnan(ordered[-1]):
+        return float(ordered[-1])
+    a, b, t = float(ordered[lo]), float(ordered[hi]), at - lo
+    d = b - a
+    return b - d * (1 - t) if t >= 0.5 else a + d * t
+
+
 def select_percentile_hours(net_series: NetInflowSeries, pct: float,
                             leg: str) -> np.ndarray:
     """Timestamps whose net inflow lies in the requested percentile leg."""
@@ -297,10 +325,10 @@ def select_percentile_hours(net_series: NetInflowSeries, pct: float,
     if len(vals) == 0:
         raise InvalidConfig("empty net inflow series")
     if leg == LEG_TOP:
-        cutoff = np.quantile(vals, 1.0 - pct)
+        cutoff = _quantile(vals, 1.0 - pct)
         mask = vals >= cutoff
     else:
-        cutoff = np.quantile(vals, pct)
+        cutoff = _quantile(vals, pct)
         mask = vals <= cutoff
     return net_series.timestamps[mask]
 
@@ -325,6 +353,7 @@ def run_percentile_backtest(net_series: NetInflowSeries, quotes: QuoteSeries,
     Cost: sorts of the time-sorted ``quotes`` by instrument plus searches,
     linear in the quotes inside the entry windows, not events x instruments.
     """
+    import numpy as np
     if len(quotes) == 0:
         raise NoMatchingQuotes("no option quotes supplied")
     tol_s = _seconds(entry_tolerance, "entry_tolerance", allow_zero=True, error=InvalidConfig)

@@ -25,9 +25,10 @@ import json
 import math
 from dataclasses import dataclass
 from datetime import timedelta
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence, TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:  # annotations only: each function imports numpy as it runs
+    import numpy as np
 
 from .errors import (FlowcastError, InvalidConfig, RankDeficient, TooFewObservations,
                      ValidationError)
@@ -102,6 +103,7 @@ class OlsFit:
     def predict(self, x) -> float:
         """Fitted value for one regressor row ``x`` (no intercept column); a
         one-regressor fit also takes ``x`` as a scalar."""
+        import numpy as np
         terms = zip(np.atleast_1d(x).tolist(), self.beta[1:].tolist(), strict=True)
         return float(self.beta[0]) + sum(xi * b for xi, b in terms)
 
@@ -109,6 +111,7 @@ class OlsFit:
 def design_matrix(sample: AlignedSample) -> tuple[np.ndarray, np.ndarray]:
     """``X`` = [1, predictor (, control)] column by column, and ``y``. The
     fit does not build it; it is the textbook form of the same model."""
+    import numpy as np
     X = np.empty((sample.n, 2 if sample.control is None else 3))
     X[:, 0] = 1.0
     X[:, 1] = sample.predictor
@@ -120,10 +123,12 @@ def design_matrix(sample: AlignedSample) -> tuple[np.ndarray, np.ndarray]:
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
     """sum(a * b) by ``np.add.reduce``, whose pairwise order is fixed in
     numpy's C source; a BLAS dot sums in the order of the CPU's kernel."""
+    import numpy as np
     return float(np.add.reduce(a * b))
 
 
 def _mean(a: np.ndarray) -> float:
+    import numpy as np
     return float(np.add.reduce(a)) / len(a)
 
 
@@ -162,6 +167,7 @@ def ols_fit(sample: AlignedSample, hac_lags: int | None = None) -> OlsFit:
     column's diagonal entry of R (|xc| or |cp|) is at most max(n, p)*eps
     times that column's norm.
     """
+    import numpy as np
     x = np.asarray(sample.predictor, dtype=np.float64)
     y = np.asarray(sample.response, dtype=np.float64)
     n, p = sample.n, 2 if sample.control is None else 3

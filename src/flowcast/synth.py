@@ -29,7 +29,8 @@ construction and raise ``InvalidConfig``: every float field must be finite,
 and the first two also check their ranges. ``gen_market`` checks the
 plants' ranges when it builds its ``SynthConfig``, before any draw.
 ``gen_price_bars`` refuses a plant that drives a close to infinity, NaN or
-0, which no bar file may hold.
+0, which no bar file may hold, and ``black_scholes_call`` an implied vol
+whose variance overflows, which it would price at the intrinsic value.
 """
 
 from __future__ import annotations
@@ -37,9 +38,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, replace
 from datetime import timedelta
-from typing import Mapping
+from typing import Mapping, TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:  # annotations only: each function imports numpy as it runs
+    import numpy as np
 
 from .errors import InvalidConfig
 from .ingest import (Asset, BarSeries, FlowSeries, QuoteSeries, _distinct, _seconds,
@@ -151,6 +153,7 @@ class SynthConfig:
 def gen_flows(seq: np.random.SeedSequence, hours: int, flow_sd_musd: float,
               asset: Asset) -> FlowSeries:
     """Hourly flows whose net is i.i.d. normal(0, flow_sd) in US$ millions."""
+    import numpy as np
     net_usd = np.random.default_rng(seq).normal(0.0, flow_sd_musd, size=hours) * 1e6
     ts = DEFAULT_START + 3600 * np.arange(hours, dtype=np.int64)
     return FlowSeries(ts, np.full(hours, asset.value, dtype="U4"),
@@ -158,6 +161,7 @@ def gen_flows(seq: np.random.SeedSequence, hours: int, flow_sd_musd: float,
 
 
 def _hourly_net_musd(flows: FlowSeries, hours: int) -> np.ndarray:
+    import numpy as np
     expected = DEFAULT_START + 3600 * np.arange(hours, dtype=np.int64)
     if len(flows) != hours or not np.array_equal(flows.timestamps, expected):
         raise InvalidConfig("flow series does not cover the generation grid")
@@ -168,6 +172,7 @@ def _ar1(x: np.ndarray, b: float) -> np.ndarray:
     """``y[i] = x[i] + b*y[i-1]`` from ``y[-1] = 0``, in the order of
     operations of ``lfilter([1], [1, -b], x)``: the ``x[i-1] * 0.0`` term
     gives a zero result the sign ``lfilter`` gives it."""
+    import numpy as np
     out, state = [], 0.0
     for xi in x.tolist():
         yi = state + xi
@@ -182,12 +187,12 @@ def _ar1_unless_zero(x: np.ndarray, b: float) -> np.ndarray:
     ``vol_base + v`` drops. (A non-finite x[i] makes ``_ar1``'s later terms
     NaN, so an overflowing plant reaches the closes, where ``gen_price_bars``
     refuses it.)"""
+    import numpy as np
     if b == 0.0 and np.isfinite(x).all():
         return x
     return _ar1(x, b)
 
 
-@np.errstate(all="ignore")  # a plant that overflows is refused by its closes below
 def gen_price_bars(seq: np.random.SeedSequence, cfg: SynthConfig,
                    flows: Mapping[Asset, FlowSeries],
                    return_betas: Mapping[Asset, float],
@@ -196,6 +201,7 @@ def gen_price_bars(seq: np.random.SeedSequence, cfg: SynthConfig,
     InvalidConfig, flows that do not cover the generation grid and plants
     that drive a close out of the finite positive floats. The opens and the
     closes are views of one buffer, the opens one bar behind."""
+    import numpy as np
     rng = np.random.default_rng(seq)
     hours = cfg.hours
     sub_s = _seconds(cfg.sub_frequency, "sub_frequency")
@@ -203,50 +209,51 @@ def gen_price_bars(seq: np.random.SeedSequence, cfg: SynthConfig,
     vh = cfg.vol_horizon // HOUR
     net = {a: _hourly_net_musd(f, hours) for a, f in flows.items()}
 
-    # Hourly returns: AR(1) around the flow-driven drift, in a fixed draw order.
-    eps = rng.normal(0.0, cfg.noise_sd, size=hours) if cfg.noise_sd > 0 else np.zeros(hours)
-    driver = np.zeros(hours)
-    driver[1:] = cfg.beta0 + eps[1:]
-    for a, b in return_betas.items():
-        if b != 0.0:
-            driver[1:] += b * net[a][:-1]
-    hourly_ret = np.maximum(_ar1_unless_zero(driver, cfg.beta2), _RETURN_CLIP)
+    with np.errstate(all="ignore"):  # a plant that overflows is refused by its closes below
+        # Hourly returns: AR(1) around the flow-driven drift, in a fixed draw order.
+        eps = rng.normal(0.0, cfg.noise_sd, size=hours) if cfg.noise_sd > 0 else np.zeros(hours)
+        driver = np.zeros(hours)
+        driver[1:] = cfg.beta0 + eps[1:]
+        for a, b in return_betas.items():
+            if b != 0.0:
+                driver[1:] += b * net[a][:-1]
+        hourly_ret = np.maximum(_ar1_unless_zero(driver, cfg.beta2), _RETURN_CLIP)
 
-    # Per-bucket sub-bar dispersion driven by the previous bucket's net flow.
-    nb = hours // vh
-    vol_drive = np.zeros(nb)
-    if cfg.vol_noise_sd > 0:
-        vol_drive[1:] += rng.normal(0.0, cfg.vol_noise_sd, size=nb - 1)
-    for a, b in vol_betas.items():
-        if b != 0.0:
-            bucket_flow = net[a].reshape(nb, vh).sum(axis=1)
-            vol_drive[1:] += b * bucket_flow[:-1]
-    sigma = np.maximum(cfg.vol_base + _ar1_unless_zero(vol_drive, cfg.vol_ar),
-                       cfg.vol_floor)
-    sigma_hour = np.repeat(sigma, vh)
+        # Per-bucket sub-bar dispersion driven by the previous bucket's net flow.
+        nb = hours // vh
+        vol_drive = np.zeros(nb)
+        if cfg.vol_noise_sd > 0:
+            vol_drive[1:] += rng.normal(0.0, cfg.vol_noise_sd, size=nb - 1)
+        for a, b in vol_betas.items():
+            if b != 0.0:
+                bucket_flow = net[a].reshape(nb, vh).sum(axis=1)
+                vol_drive[1:] += b * bucket_flow[:-1]
+        sigma = np.maximum(cfg.vol_base + _ar1_unless_zero(vol_drive, cfg.vol_ar),
+                           cfg.vol_floor)
+        sigma_hour = np.repeat(sigma, vh)
 
-    # Sub-bars compound exactly to the hourly gross return. The draws become
-    # the closes in place, in buf[1:], so buf[:-1] is the opens and no step
-    # takes a second (hours, nsub) array but the log1p one, freed once c is
-    # taken. Multiplication commutes, so the bits are those of
-    # level * cumprod((g * c) * (1 + u)).
-    buf = np.empty(hours * nsub + 1)
-    buf[0] = cfg.init_price
-    u = rng.standard_normal(out=buf[1:].reshape(hours, nsub))
-    np.maximum(np.multiply(sigma_hour[:, None], u, out=u), _SUB_CLIP, out=u)
-    g = (1.0 + hourly_ret) ** (1.0 / nsub)
-    c = np.exp(-np.mean(np.log1p(u), axis=1))
-    np.add(1.0, u, out=u)
-    u *= (g * c)[:, None]
+        # Sub-bars compound exactly to the hourly gross return. The draws become
+        # the closes in place, in buf[1:], so buf[:-1] is the opens and no step
+        # takes a second (hours, nsub) array but the log1p one, freed once c is
+        # taken. Multiplication commutes, so the bits are those of
+        # level * cumprod((g * c) * (1 + u)).
+        buf = np.empty(hours * nsub + 1)
+        buf[0] = cfg.init_price
+        u = rng.standard_normal(out=buf[1:].reshape(hours, nsub))
+        np.maximum(np.multiply(sigma_hour[:, None], u, out=u), _SUB_CLIP, out=u)
+        g = (1.0 + hourly_ret) ** (1.0 / nsub)
+        c = np.exp(-np.mean(np.log1p(u), axis=1))
+        np.add(1.0, u, out=u)
+        u *= (g * c)[:, None]
 
-    level = np.empty(hours + 1)
-    level[0] = cfg.init_price
-    level[1:] = cfg.init_price * np.cumprod(1.0 + hourly_ret)
-    np.multiply(level[:-1, None], np.cumprod(u, axis=1, out=u), out=u)
-    opens, closes = buf[:-1], buf[1:]
+        level = np.empty(hours + 1)
+        level[0] = cfg.init_price
+        level[1:] = cfg.init_price * np.cumprod(1.0 + hourly_ret)
+        np.multiply(level[:-1, None], np.cumprod(u, axis=1, out=u), out=u)
+        opens, closes = buf[:-1], buf[1:]
+        bad = np.flatnonzero(~(np.isfinite(closes) & (closes > 0)))
 
     ts = np.arange(DEFAULT_START, DEFAULT_START + sub_s * hours * nsub, sub_s, dtype=np.int64)
-    bad = np.flatnonzero(~(np.isfinite(closes) & (closes > 0)))
     if len(bad):
         raise InvalidConfig(f"the plants drive the {cfg.asset.value} close at "
                             f"{format_timestamp(ts[bad[0]])} to {closes[bad[0]]}, "
@@ -257,6 +264,7 @@ def gen_price_bars(seq: np.random.SeedSequence, cfg: SynthConfig,
 
 def gen_flows_and_prices(cfg: SynthConfig) -> tuple[FlowSeries, BarSeries]:
     """Flows and bars for one planted single-asset system."""
+    import numpy as np
     flow_seq, bar_seq = np.random.SeedSequence(cfg.seed).spawn(2)
     flows = gen_flows(flow_seq, cfg.hours, cfg.flow_sd_musd, cfg.asset)
     bars = gen_price_bars(bar_seq, cfg, {cfg.asset: flows},
@@ -287,6 +295,7 @@ _ERFC_S = (1.0, 2.26052863220117276590e0, 9.39603524938001434673e0, 1.2048953980
 
 def _horner(x: np.ndarray, coefs: tuple[float, ...]) -> np.ndarray:
     """Cephes' polevl: Horner's rule from the leading coefficient."""
+    import numpy as np
     y = np.full_like(x, coefs[0])
     for c in coefs[1:]:
         y = y * x + c
@@ -303,6 +312,7 @@ def _erfc(z: np.ndarray) -> np.ndarray:
     """Cephes' erfc for z at or above 1/√2, infinity included: ``1 - erf``
     below 1, ``exp(-z²)`` times the P/Q rational below 8 and the R/S one
     above, and 0 once ``-z²`` is below ``-MAXLOG`` (past 27 it always is)."""
+    import numpy as np
     y = np.zeros_like(z)
     near = z < 1.0
     y[near] = 1.0 - _erf(z[near])
@@ -323,6 +333,7 @@ def _ndtr(a: np.ndarray) -> np.ndarray:
     ``scipy.special.ndtr``, which is Cephes' ndtr: ``0.5 + 0.5*erf(x)`` for
     ``x = a/√2`` below 1/√2 in size, else ``0.5*erfc(|x|)``, taken from 1
     for x > 0. NaN gives NaN."""
+    import numpy as np
     x = a * _SQRT1_2
     z = np.abs(x)
     y = np.full_like(x, np.nan)
@@ -338,16 +349,28 @@ def black_scholes_call(index, strike, years, sigma):
     """(price, delta) of a European call under a zero-rate lognormal model,
     as floats or as arrays; at or past expiry, or at zero vol, the call is
     worth its intrinsic value. The normal CDF is ``_ndtr``, so the bits are
-    those of ``scipy.special.ndtr`` without importing scipy."""
+    those of ``scipy.special.ndtr`` without importing scipy. Refuses, with
+    InvalidConfig, a vol whose half variance ``0.5 * sigma**2 * years``
+    overflows: d1 and d2 would both be infinite, pricing the call at its
+    intrinsic value, not at its limit ``index``."""
+    import numpy as np
     index, strike, years, sigma = np.broadcast_arrays(
         *(np.asarray(v, dtype=np.float64) for v in (index, strike, years, sigma)))
     price = np.where(index > strike, index - strike, 0.0)
     delta = np.where(index > strike, 1.0, 0.0)
     live = (years > 0) & (sigma > 0)
-    index, strike, sq = index[live], strike[live], sigma[live] * np.sqrt(years[live])
+    with np.errstate(over="ignore"):  # refused below
+        sq = sigma[live] * np.sqrt(years[live])
+        half_var = 0.5 * sq * sq
+    overflow = np.flatnonzero(~np.isfinite(half_var))
+    if len(overflow):
+        i = overflow[0]
+        raise InvalidConfig(f"implied vol {sigma[live][i]} over {years[live][i]} years "
+                            "overflows the call's variance")
+    index, strike = index[live], strike[live]
     # math.log, not np.log: the two differ in the last bit on some ratios.
     log_moneyness = np.array([math.log(r) for r in (index / strike).tolist()])
-    d1 = (log_moneyness + 0.5 * sq * sq) / sq
+    d1 = (log_moneyness + half_var) / sq
     n1 = _ndtr(d1)
     price[live] = np.maximum(index * n1 - strike * _ndtr(d1 - sq), 0.0)
     delta[live] = np.minimum(np.maximum(n1, 0.0), 1.0)
@@ -361,8 +384,10 @@ def gen_option_chain(cfg: SynthConfig, bars: BarSeries, flows: FlowSeries) -> Qu
     ``gen_flows_and_prices`` or ``gen_market`` drew it. Quotes are valued
     with the lognormal model at an implied vol that responds to the
     *previous* hour's net inflow, so an event-hour entry never embeds the
-    event's own flow.
+    event's own flow. Refuses, with InvalidConfig, an implied vol too large
+    for ``black_scholes_call`` to price.
     """
+    import numpy as np
     if cfg.chain is None:
         raise InvalidConfig("config has no option_chain_spec")
     spec = cfg.chain
@@ -377,7 +402,8 @@ def gen_option_chain(cfg: SynthConfig, bars: BarSeries, flows: FlowSeries) -> Qu
     # hour k, at an implied vol that responds to hour k's net inflow.
     t = DEFAULT_START + 3600 * np.arange(1, cfg.hours + 1, dtype=np.int64)
     index = bars.close.reshape(cfg.hours, nsub)[:, -1]
-    iv = np.maximum(spec.iv_base + spec.iv_flow_beta * net, IV_FLOOR)
+    with np.errstate(over="ignore"):  # an infinite vol is refused where it is priced
+        iv = np.maximum(spec.iv_base + spec.iv_flow_beta * net, IV_FLOOR)
 
     # Expiry e is quoted at the hours t in [e - lifetime, e) and its strikes
     # are set at the first of them.
@@ -437,6 +463,7 @@ class GridPlants:
 def gen_market(seed: int, hours: int, plants: GridPlants = GridPlants(),
                sub_frequency: timedelta = DEFAULT_SUB_FREQUENCY) -> MarketData:
     """Flows for USDT/ETH/BTC and bars for ETH/BTC with the planted relations."""
+    import numpy as np
     eth_cfg = SynthConfig(seed=seed, hours=hours, beta2=plants.return_ar,
                           noise_sd=plants.noise_sd, sub_frequency=sub_frequency)
     seqs = np.random.SeedSequence(seed).spawn(5)

@@ -148,11 +148,24 @@ def _modules_after(code, package="scipy"):
     return ast.literal_eval(out.splitlines()[-1])  # after what ``code`` prints
 
 
-def test_import_loads_no_scipy():
-    # Importing scipy costs most of a short command's run time; only the
-    # functions that call it may load it. Tests import flowcast in-process,
-    # so only a fresh interpreter shows what the import itself loads.
-    assert _modules_after("") == []
+@pytest.mark.parametrize("package", ["scipy", "numpy"])
+def test_import_loads_no_scipy(package):
+    # Importing scipy, or numpy, costs most of a short command's run time;
+    # only the functions that call it may load it. Tests import flowcast
+    # in-process, so only a fresh interpreter shows what the import loads.
+    assert _modules_after("", package) == []
+
+
+def test_report_loads_no_numpy(dataset, tmp_path):
+    # report reads one JSON file and writes one TSV: no function it calls
+    # imports numpy.
+    grid_dir, render = tmp_path / "grid", tmp_path / "render"
+    assert main(["regress", "--flows", str(dataset / "flows.csv"),
+                 "--bars-eth", str(dataset / "bars_eth.csv"),
+                 "--bars-btc", str(dataset / "bars_btc.csv"), "--out", str(grid_dir)]) == 0
+    argv = ["report", "--grid", str(grid_dir / "grid.json"), "--out", str(render)]
+    assert _modules_after(f"assert flowcast.cli.main({argv!r}) == 0", "numpy") == []
+    assert (render / "grid.tsv").read_bytes() == (grid_dir / "grid.tsv").read_bytes()
 
 
 def test_synth_loads_no_scipy(tmp_path):
@@ -182,10 +195,11 @@ def test_regress_loads_no_scipy(dataset, tmp_path):
     assert _modules_after(grid) == []
 
 
-@pytest.mark.parametrize("command", ["synth", "ingest-check", "regress"])
+@pytest.mark.parametrize("command", ["synth", "ingest-check", "regress", "backtest"])
 def test_command_loads_no_numpy_ma(dataset, tmp_path, command):
     # np.unique imports numpy.ma (for np.ma.is_masked), 10-14 ms of a short
-    # command; distinct values are taken by a sort instead.
+    # command; distinct values are taken by a sort instead, and np.quantile,
+    # which calls np.unique, is replaced by options._quantile.
     argv = {
         "synth": ["synth", "--seed", "1", "--hours", "400", "--out", str(tmp_path / "data")],
         "ingest-check": ["ingest-check", "--flows", str(dataset / "flows.csv"),
@@ -194,6 +208,8 @@ def test_command_loads_no_numpy_ma(dataset, tmp_path, command):
         "regress": ["regress", "--flows", str(dataset / "flows.csv"),
                     "--bars-eth", str(dataset / "bars_eth.csv"),
                     "--bars-btc", str(dataset / "bars_btc.csv"), "--out", str(tmp_path / "grid")],
+        "backtest": ["backtest", "--flows", str(dataset / "flows.csv"),
+                     "--options", str(dataset / "options.csv"), "--out", str(tmp_path / "bt")],
     }[command]
     code = f"assert flowcast.cli.main({argv!r}) == 0"
     assert _modules_after(code, "numpy.ma") == []
@@ -524,6 +540,21 @@ def test_synth_refuses_a_plant_that_drives_prices_out_of_range(tmp_path, capsys,
     assert main(["synth", "--seed", "1", "--hours", "2000", *flags, "--out", str(out)]) == 2
     assert capsys.readouterr().err == (f"validation error: {message}, "
                                        "not a finite positive price\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags,vol", [
+    (["--iv-base", "1e308"], "1e+308"),
+    (["--iv-flow-beta", "1e300"], "2.4856802100068158e+300"),
+    (["--iv-flow-beta", "1e308"], "inf"),
+], ids=["iv-base", "iv-flow-beta", "iv-flow-beta-overflow"])
+def test_synth_refuses_an_implied_vol_whose_variance_overflows(tmp_path, capsys, flags, vol):
+    # Priced, such a call was worth its intrinsic value, not its limit, the index.
+    out = tmp_path / "data"
+    assert main(["synth", "--seed", "1", "--hours", "100", *flags, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (f"validation error: implied vol {vol} over "
+                                       "0.002625570776255708 years overflows the call's "
+                                       "variance\n")
     assert not out.exists()
 
 

@@ -23,6 +23,7 @@ from flowcast.options import (
     otm_range,
     report_to_tsv,
     run_percentile_backtest,
+    _quantile,
     select_percentile_hours,
     table_buckets,
     trade,
@@ -346,6 +347,41 @@ def test_report_tsv_renders_na():
 # ---------------------------------------------------------------------------
 # percentile backtest
 # ---------------------------------------------------------------------------
+
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.int64).tolist()
+
+
+def _np_quantile(values, q):
+    with np.errstate(all="ignore"):  # numpy's lerp warns on inf - inf
+        return np.quantile(np.array(values), q)
+
+
+@settings(max_examples=500)
+@given(values=st.lists(st.one_of(st.floats(allow_nan=False),
+                                 st.sampled_from((0.0, -0.0, 1.0, -1.0, -2.5))),
+                       min_size=1, max_size=40),
+       q=st.one_of(st.sampled_from((0.0, 0.1, 0.5, 0.9, 1.0 - 0.1, 1.0)), st.floats(0.0, 1.0)))
+def test_quantile_is_np_quantile_bit_for_bit(values, q):
+    assert _bits(_quantile(np.array(values), q)) == _bits(_np_quantile(values, q))
+
+
+@pytest.mark.parametrize("values", [
+    [3.5], [-0.0], [0.0, -0.0], [-0.0, 0.0, -0.0, 0.0], [-2.0, -2.0, -1.0, 0.0, 0.0, 5.0],
+    [-3.0, -1.0, -2.0], [1.0, 1.0, 1.0, 1.0], [1.0, np.nan, 2.0], [np.inf, -np.inf, 0.0],
+], ids=["one", "negative-zero", "signed-zeros", "alternating-zeros", "ties", "negatives",
+        "constant", "nan", "infinities"])
+@pytest.mark.parametrize("q", [0.0, 0.1, 0.25, 0.5, 0.9, 1.0])
+def test_quantile_edge_cases_are_np_quantile_bit_for_bit(values, q):
+    assert _bits(_quantile(np.array(values), q)) == _bits(_np_quantile(values, q))
+
+
+def test_quantile_on_long_samples_with_ties_is_np_quantile(rng):
+    for n in (2, 3, 10, 101, 1000, 8760):
+        values = np.round(rng.normal(size=n), 1)  # many ties
+        for q in (0.0, 0.01, 0.1, 0.5, 0.9, 0.99, 1.0, 1.0 - 0.1, *rng.random(5)):
+            assert _bits(_quantile(values, q)) == _bits(_np_quantile(values, q))
+
 
 def _chain_fixture(seed=101, hours=400, iv_flow_beta=-0.05):
     cfg = SynthConfig(seed=seed, hours=hours, beta1=-0.004, beta2=0.0,

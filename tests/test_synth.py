@@ -371,6 +371,17 @@ def test_a_plant_that_drives_prices_out_of_range_is_refused():
         gen_market(1, 100, GridPlants(btc_btc_vol=1e308))
 
 
+def test_an_implied_vol_whose_variance_overflows_is_refused():
+    # Priced, such a vol gave the intrinsic value; at 1e154 the variance is
+    # finite and the call is worth its limit, the index.
+    flows, bars = gen_flows_and_prices(SynthConfig(seed=1, hours=100))
+    for spec in (OptionChainSpec(iv_base=1e308), OptionChainSpec(iv_flow_beta=1e308)):
+        with pytest.raises(errors.InvalidConfig, match=" overflows the call's variance$"):
+            gen_option_chain(SynthConfig(seed=1, hours=100, chain=spec), bars, flows)
+    cfg = SynthConfig(seed=1, hours=100, chain=OptionChainSpec(iv_base=1e154))
+    assert (gen_option_chain(cfg, bars, flows).option_prices == 1.0).all()
+
+
 def test_gen_market_covers_grid_assets():
     market = gen_market(3, 300, GridPlants())
     assert set(market.flows) == {Asset.USDT, Asset.ETH, Asset.BTC}
