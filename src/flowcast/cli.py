@@ -26,6 +26,7 @@ import click
 
 from . import events as events_mod
 from . import ingest, options, regress, synth
+from ._lazy import np
 from .errors import FlowcastError, ValidationError
 from .ingest import Asset
 from .series import HOUR, net_inflows
@@ -333,7 +334,7 @@ def cmd_backtest(flows, options_path, asset, pct, legs, side, holding_hours,
                                half_spread=half_spread, slippage=slippage)
 
     stats: dict = {}
-    for leg in legs:
+    for leg in dict.fromkeys(legs):  # a leg named twice runs once
         leg_stats, diag = options.run_percentile_backtest(
             hourly, quotes, pct, leg, side, costs,
             options.table_buckets(leg, pct),
@@ -365,7 +366,6 @@ def cmd_backtest(flows, options_path, asset, pct, legs, side, holding_hours,
 def cmd_synth(seed, hours, usdt_eth_ret, eth_eth_ret, usdt_btc_ret, btc_btc_vol,
               return_ar, noise_sd, sub_frequency_minutes, iv_base, iv_flow_beta, out):
     """Write a planted synthetic dataset in the ingestion CSV schemas."""
-    import numpy as np
     sub = timedelta(minutes=sub_frequency_minutes)
     chain_cfg = synth.SynthConfig(
         seed=seed, hours=hours, noise_sd=noise_sd, sub_frequency=sub,

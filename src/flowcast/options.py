@@ -30,11 +30,8 @@ import math
 import logging
 from dataclasses import dataclass
 from datetime import timedelta
-from typing import TYPE_CHECKING
 
-if TYPE_CHECKING:  # annotations only: each function imports numpy as it runs
-    import numpy as np
-
+from ._lazy import np
 from .errors import InstrumentMismatch, InvalidConfig, NoMatchingQuotes, ZeroEntryPrice
 from .ingest import OptionQuote, QuoteSeries, _seconds, format_number
 from .series import NetInflowSeries
@@ -105,7 +102,6 @@ def call_price(q: OptionQuote) -> float:
 
 def otm_range(strike: float | np.ndarray, index: float | np.ndarray) -> float | np.ndarray:
     """Signed fractional moneyness (strike - index) / index, of floats or arrays."""
-    import numpy as np
     if np.any(index <= 0):
         raise InvalidConfig(f"index price must be positive, got {np.min(index)}")
     return (strike - index) / index
@@ -114,7 +110,6 @@ def otm_range(strike: float | np.ndarray, index: float | np.ndarray) -> float | 
 def initial_capital(delta: float | np.ndarray,
                     index: float | np.ndarray) -> float | np.ndarray:
     """Capital posted per trade: (0.3 + delta) * index, of floats or arrays."""
-    import numpy as np
     if np.any(index <= 0):
         raise InvalidConfig(f"index price must be positive, got {np.min(index)}")
     return (MARGIN_FACTOR + delta) * index
@@ -198,7 +193,6 @@ class BucketKey:
     def mask(self, implied_vol: np.ndarray, moneyness: np.ndarray) -> np.ndarray:
         """Which trades, given by their entry implied vol and moneyness, fall in
         the bucket; a NaN falls in no bounded interval."""
-        import numpy as np
         mask = np.ones(len(implied_vol), dtype=bool)
         for values, bound, inside in ((implied_vol, self.iv_min, np.greater_equal),
                                       (moneyness, self.otm_lo, np.greater_equal),
@@ -208,7 +202,7 @@ class BucketKey:
         return mask
 
     def label(self) -> str:
-        parts = [f"{self.leg}{format_number(self.pct * 100).rstrip('0').rstrip('.')}%"]
+        parts = [f"{self.leg}{self.pct * 100:g}%"]
         if self.iv_min is not None:
             parts.append(f"iv>={format_number(self.iv_min)}")
         if self.otm_lo is not None or self.otm_hi is not None:
@@ -258,7 +252,6 @@ def bucket_stats(implied_vol: np.ndarray, moneyness: np.ndarray, r_net: np.ndarr
     of summed winning to summed losing net returns instead. Undefined ratios
     (no trades, or no losses) are reported as None.
     """
-    import numpy as np
     selected = r_net[key.mask(implied_vol, moneyness)]
     total = len(selected)
     if total == 0:
@@ -301,7 +294,6 @@ def _quantile(values: np.ndarray, q: float) -> float:
     value twice from n-1 on, where the weight becomes ``(n-1)*q + 1``, and
     blends them from the nearer side, as ``_lerp`` does. A NaN sorts last
     and is the quantile."""
-    import numpy as np
     n = len(values)
     at = (n - 1) * q
     lo = -1 if at >= n - 1 else math.floor(at)
@@ -353,7 +345,6 @@ def run_percentile_backtest(net_series: NetInflowSeries, quotes: QuoteSeries,
     Cost: sorts of the time-sorted ``quotes`` by instrument plus searches,
     linear in the quotes inside the entry windows, not events x instruments.
     """
-    import numpy as np
     if len(quotes) == 0:
         raise NoMatchingQuotes("no option quotes supplied")
     tol_s = _seconds(entry_tolerance, "entry_tolerance", allow_zero=True, error=InvalidConfig)

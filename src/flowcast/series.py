@@ -29,11 +29,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from datetime import timedelta
 from functools import cached_property
-from typing import NamedTuple, TYPE_CHECKING
+from typing import NamedTuple
 
-if TYPE_CHECKING:  # annotations only: each function imports numpy as it runs
-    import numpy as np
-
+from ._lazy import np
 from .errors import (
     DuplicateTimestamp,
     EmptyAlignment,
@@ -76,7 +74,6 @@ class _HorizonSeries:
         and one value per bucket from the first point to the last, however few
         points lie between. A timestamp off the horizon grid raises
         HorizonMismatch on every use."""
-        import numpy as np
         h_s = _seconds(self.horizon, "horizon")
         if (self.timestamps % h_s).any():
             raise HorizonMismatch(f"series has timestamps off the {self.horizon} grid")
@@ -124,7 +121,6 @@ def net_inflows(flows: FlowSeries, horizon: timedelta) -> NetInflowSeries:
     hours must ascend: a repeated hour raises DuplicateTimestamp and one out
     of order InvalidConfig.
     """
-    import numpy as np
     if len(flows) == 0:
         raise EmptyInput("no flow records")
     if not (flows.assets == flows.assets[0]).all():
@@ -172,7 +168,6 @@ def _windows(bars: BarSeries, horizon: timedelta,
     Inside a run the first window opens at the first row stamped ``t - f``
     and another every nsub rows while the window's last bar is in the run.
     """
-    import numpy as np
     f_s = _seconds(bars.frequency, "bar frequency")
     h_s = _seconds(horizon, "horizon")
     if h_s % f_s != 0:
@@ -203,7 +198,6 @@ def realized_vol(bars: BarSeries, horizon: timedelta) -> VolSeries:
     window is one contiguous row of its block, so ``np.std`` sums it in the
     same order whatever the block size, and the bits do not depend on it.
     """
-    import numpy as np
     t, rows, nsub = _windows(bars, horizon, "sub_frequency")
     if nsub < 2:
         raise InsufficientSubBars(
@@ -239,7 +233,6 @@ def align(predictor: NetInflowSeries, response: ReturnSeries | VolSeries,
     calls only slice the grids over their overlap, AND the masks and gather.
     A series must not be mutated after its first ``align``.
     """
-    import numpy as np
     horizon = predictor.horizon
     pieces = [predictor, response] + ([control] if control is not None else [])
     for s in pieces:

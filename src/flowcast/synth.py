@@ -38,11 +38,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, replace
 from datetime import timedelta
-from typing import Mapping, TYPE_CHECKING
+from typing import Mapping
 
-if TYPE_CHECKING:  # annotations only: each function imports numpy as it runs
-    import numpy as np
-
+from ._lazy import np
 from .errors import InvalidConfig
 from .ingest import (Asset, BarSeries, FlowSeries, QuoteSeries, _distinct, _seconds,
                      format_timestamp)
@@ -153,7 +151,6 @@ class SynthConfig:
 def gen_flows(seq: np.random.SeedSequence, hours: int, flow_sd_musd: float,
               asset: Asset) -> FlowSeries:
     """Hourly flows whose net is i.i.d. normal(0, flow_sd) in US$ millions."""
-    import numpy as np
     net_usd = np.random.default_rng(seq).normal(0.0, flow_sd_musd, size=hours) * 1e6
     ts = DEFAULT_START + 3600 * np.arange(hours, dtype=np.int64)
     return FlowSeries(ts, np.full(hours, asset.value, dtype="U4"),
@@ -161,7 +158,6 @@ def gen_flows(seq: np.random.SeedSequence, hours: int, flow_sd_musd: float,
 
 
 def _hourly_net_musd(flows: FlowSeries, hours: int) -> np.ndarray:
-    import numpy as np
     expected = DEFAULT_START + 3600 * np.arange(hours, dtype=np.int64)
     if len(flows) != hours or not np.array_equal(flows.timestamps, expected):
         raise InvalidConfig("flow series does not cover the generation grid")
@@ -172,7 +168,6 @@ def _ar1(x: np.ndarray, b: float) -> np.ndarray:
     """``y[i] = x[i] + b*y[i-1]`` from ``y[-1] = 0``, in the order of
     operations of ``lfilter([1], [1, -b], x)``: the ``x[i-1] * 0.0`` term
     gives a zero result the sign ``lfilter`` gives it."""
-    import numpy as np
     out, state = [], 0.0
     for xi in x.tolist():
         yi = state + xi
@@ -187,7 +182,6 @@ def _ar1_unless_zero(x: np.ndarray, b: float) -> np.ndarray:
     ``vol_base + v`` drops. (A non-finite x[i] makes ``_ar1``'s later terms
     NaN, so an overflowing plant reaches the closes, where ``gen_price_bars``
     refuses it.)"""
-    import numpy as np
     if b == 0.0 and np.isfinite(x).all():
         return x
     return _ar1(x, b)
@@ -201,7 +195,6 @@ def gen_price_bars(seq: np.random.SeedSequence, cfg: SynthConfig,
     InvalidConfig, flows that do not cover the generation grid and plants
     that drive a close out of the finite positive floats. The opens and the
     closes are views of one buffer, the opens one bar behind."""
-    import numpy as np
     rng = np.random.default_rng(seq)
     hours = cfg.hours
     sub_s = _seconds(cfg.sub_frequency, "sub_frequency")
@@ -264,7 +257,6 @@ def gen_price_bars(seq: np.random.SeedSequence, cfg: SynthConfig,
 
 def gen_flows_and_prices(cfg: SynthConfig) -> tuple[FlowSeries, BarSeries]:
     """Flows and bars for one planted single-asset system."""
-    import numpy as np
     flow_seq, bar_seq = np.random.SeedSequence(cfg.seed).spawn(2)
     flows = gen_flows(flow_seq, cfg.hours, cfg.flow_sd_musd, cfg.asset)
     bars = gen_price_bars(bar_seq, cfg, {cfg.asset: flows},
@@ -295,7 +287,6 @@ _ERFC_S = (1.0, 2.26052863220117276590e0, 9.39603524938001434673e0, 1.2048953980
 
 def _horner(x: np.ndarray, coefs: tuple[float, ...]) -> np.ndarray:
     """Cephes' polevl: Horner's rule from the leading coefficient."""
-    import numpy as np
     y = np.full_like(x, coefs[0])
     for c in coefs[1:]:
         y = y * x + c
@@ -312,7 +303,6 @@ def _erfc(z: np.ndarray) -> np.ndarray:
     """Cephes' erfc for z at or above 1/√2, infinity included: ``1 - erf``
     below 1, ``exp(-z²)`` times the P/Q rational below 8 and the R/S one
     above, and 0 once ``-z²`` is below ``-MAXLOG`` (past 27 it always is)."""
-    import numpy as np
     y = np.zeros_like(z)
     near = z < 1.0
     y[near] = 1.0 - _erf(z[near])
@@ -333,7 +323,6 @@ def _ndtr(a: np.ndarray) -> np.ndarray:
     ``scipy.special.ndtr``, which is Cephes' ndtr: ``0.5 + 0.5*erf(x)`` for
     ``x = a/√2`` below 1/√2 in size, else ``0.5*erfc(|x|)``, taken from 1
     for x > 0. NaN gives NaN."""
-    import numpy as np
     x = a * _SQRT1_2
     z = np.abs(x)
     y = np.full_like(x, np.nan)
@@ -353,7 +342,6 @@ def black_scholes_call(index, strike, years, sigma):
     InvalidConfig, a vol whose half variance ``0.5 * sigma**2 * years``
     overflows: d1 and d2 would both be infinite, pricing the call at its
     intrinsic value, not at its limit ``index``."""
-    import numpy as np
     index, strike, years, sigma = np.broadcast_arrays(
         *(np.asarray(v, dtype=np.float64) for v in (index, strike, years, sigma)))
     price = np.where(index > strike, index - strike, 0.0)
@@ -387,7 +375,6 @@ def gen_option_chain(cfg: SynthConfig, bars: BarSeries, flows: FlowSeries) -> Qu
     event's own flow. Refuses, with InvalidConfig, an implied vol too large
     for ``black_scholes_call`` to price.
     """
-    import numpy as np
     if cfg.chain is None:
         raise InvalidConfig("config has no option_chain_spec")
     spec = cfg.chain
@@ -463,7 +450,6 @@ class GridPlants:
 def gen_market(seed: int, hours: int, plants: GridPlants = GridPlants(),
                sub_frequency: timedelta = DEFAULT_SUB_FREQUENCY) -> MarketData:
     """Flows for USDT/ETH/BTC and bars for ETH/BTC with the planted relations."""
-    import numpy as np
     eth_cfg = SynthConfig(seed=seed, hours=hours, beta2=plants.return_ar,
                           noise_sd=plants.noise_sd, sub_frequency=sub_frequency)
     seqs = np.random.SeedSequence(seed).spawn(5)

@@ -136,16 +136,23 @@ def test_ingest_check_rejects_non_utf8_input(tmp_path, capsys, flag, text):
     assert err == f"validation error: {bad}: not valid UTF-8\n"
 
 
-def _modules_after(code, package="scipy"):
-    """The modules of ``package`` a fresh interpreter holds after running ``code``."""
+def _last_printed(code):
+    """The value of the last line ``code`` prints in a fresh interpreter that
+    has imported ``sys``, ``flowcast`` and ``flowcast.cli``."""
     src = str(Path(flowcast.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    probe = (f"import sys, flowcast, flowcast.cli\n{code}\n"
-             f"print(sorted(m for m in sys.modules if (m + '.').startswith({package + '.'!r})))")
+    probe = f"import sys, flowcast, flowcast.cli\n{code}"
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True, timeout=60).stdout
-    return ast.literal_eval(out.splitlines()[-1])  # after what ``code`` prints
+    return ast.literal_eval(out.splitlines()[-1])
+
+
+def _modules_after(code, package="scipy"):
+    """The modules of ``package`` a fresh interpreter holds after running ``code``."""
+    return _last_printed(
+        f"{code}\n"
+        f"print(sorted(m for m in sys.modules if (m + '.').startswith({package + '.'!r})))")
 
 
 @pytest.mark.parametrize("package", ["scipy", "numpy"])
@@ -166,6 +173,43 @@ def test_report_loads_no_numpy(dataset, tmp_path):
     argv = ["report", "--grid", str(grid_dir / "grid.json"), "--out", str(render)]
     assert _modules_after(f"assert flowcast.cli.main({argv!r}) == 0", "numpy") == []
     assert (render / "grid.tsv").read_bytes() == (grid_dir / "grid.tsv").read_bytes()
+
+
+def test_first_numpy_use_binds_np_to_numpy_in_every_module():
+    # After numpy's first use, each module's np is numpy itself, so a call
+    # looks up a global and no longer passes through _lazy's stand-in.
+    code = ("flowcast.ingest.format_timestamp(0)\n"
+            "print(sorted(name for name, m in sys.modules.items()\n"
+            "             if name.partition('.')[0] == 'flowcast'\n"
+            "             and getattr(m, 'np', None) is not sys.modules['numpy']))")
+    assert _last_printed(code) == ["flowcast", "flowcast.errors"]
+
+
+def test_only_lazy_imports_numpy():
+    # Whether numpy is loaded up front or on first use is decided in
+    # flowcast._lazy alone: every other module takes np from it.
+    package = Path(flowcast.__file__).parent
+    imports_numpy, np_not_from_lazy = [], []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "_lazy.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] if node.level == 0 else []
+            else:
+                continue
+            if any(n == "numpy" or n.startswith("numpy.") for n in names):
+                imports_numpy.append(f"{path.name}:{node.lineno}")
+        uses_np = any(isinstance(node, ast.Name) and node.id == "np" for node in ast.walk(tree))
+        takes_np = any(isinstance(node, ast.ImportFrom) and node.level == 1
+                       and node.module == "_lazy" for node in tree.body)
+        if uses_np and not takes_np:
+            np_not_from_lazy.append(path.name)
+    assert imports_numpy == []
+    assert np_not_from_lazy == []
 
 
 def test_synth_loads_no_scipy(tmp_path):
@@ -415,6 +459,20 @@ def test_backtest_command(dataset, tmp_path):
     top = rows["top10%,original"]
     bottom = rows["bottom10%,original"]
     assert float(top[1]) > float(bottom[1])  # planted separation
+
+
+def test_backtest_runs_a_leg_named_twice_once(dataset, tmp_path, capsys):
+    def backtest(legs, out):
+        assert main(["backtest", "--flows", str(dataset / "flows.csv"),
+                     "--options", str(dataset / "options.csv"), "--legs", legs,
+                     "--out", str(out)]) == 0
+        return capsys.readouterr().out
+
+    printed = backtest("top,top", tmp_path / "twice")
+    backtest("top", tmp_path / "once")
+    assert sum(line.startswith("top:") for line in printed.splitlines()) == 1
+    assert ((tmp_path / "twice" / "report.tsv").read_bytes()
+            == (tmp_path / "once" / "report.tsv").read_bytes())
 
 
 def test_backtest_is_idempotent(dataset, tmp_path):

@@ -344,6 +344,13 @@ def test_report_tsv_renders_na():
     assert lines[1].split("\t") == ["top10%,original", "N/A", "0", "N/A", "N/A", "0.0"]
 
 
+@pytest.mark.parametrize("pct, label", [(0.10, "top10%"), (0.07, "top7%"), (0.29, "top29%"),
+                                        (0.035, "top3.5%")])
+def test_bucket_label_prints_the_percent_without_float_noise(pct, label):
+    # 0.07 * 100 is 7.000000000000001 in floats.
+    assert BucketKey(LEG_TOP, pct).label() == f"{label},original"
+
+
 # ---------------------------------------------------------------------------
 # percentile backtest
 # ---------------------------------------------------------------------------
