@@ -18,7 +18,8 @@ class _Numpy:
     def __getattr__(self, name):
         import numpy
         for module_name, module in list(sys.modules.items()):
-            if module_name.partition(".")[0] == "flowcast" and getattr(module, "np", None) is self:
+            if (module_name.partition(".")[0] == "flowcast"
+                    and getattr(module, "np", None) is self):
                 module.np = numpy
         return getattr(numpy, name)
 
